@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
+from engine.joins import lookup
 from engine.shuffle import grouped_count_sums, keyed_partition_map
 
 # ------------------------------------------------------------------ rollup
@@ -382,13 +383,6 @@ GROUP BY b.event_type, b.n, b.lo_milli, b.hi_milli
 
 # --------------------------------------------------------- semi/anti flag
 
-# Broadcast-vs-hash-join routing threshold for the distinct key set
-# (same policy knob as engine.dedupe.candidate_docs): below it the
-# sorted key array is ray.put once and probed via searchsorted in every
-# task; above it the flag is computed by the bucketed hash_join (one
-# co-partition shuffle, driver never sees the keys).
-FLAG_BROADCAST_MAX = 4_000_000
-
 
 def flag_join(
     left: Dataset,
@@ -396,90 +390,26 @@ def flag_join(
     key: str,
     right_key: str,
     flag_name: str,
-    broadcast_max: int = FLAG_BROADCAST_MAX,
+    broadcast_max: int | None = None,
 ) -> Dataset:
     """Attach a boolean ``flag_name`` to ``left``: does the row's
     ``key`` appear in ``right_keys[right_key]``?  Semi join = filter
     flag true; anti join = filter flag false; this keeps both in one
     pass so callers needing the partition (e.g. routing matched vs
     unmatched rows differently) read the flag instead of running two
-    joins.
-
-    right_keys is first reduced to DISTINCT keys distributed (per-block
-    unique partial, then a keyed-partition distinct), so the routing
-    decision sees the true key cardinality, not the row count."""
-    import ray
-
-    def uniq_partial(b: pa.Table) -> pa.Table:
-        col = b[right_key]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return pa.table({right_key: col.unique()})
-
-    partials = right_keys.map_batches(uniq_partial, batch_format="pyarrow")
-
-    def distinct_partition(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=[right_key])
-
-    rs = right_keys.schema()
-    kt = dict(zip(rs.names, rs.types))[right_key]
-    distinct = keyed_partition_map(
-        partials, [right_key], distinct_partition, 16,
-        out_schema=pa.schema([(right_key, kt)]),
+    joins. ``broadcast_max`` caps the distinct right keys that are
+    broadcast (default ``engine.joins.BROADCAST_MAX_KEYS``); above it
+    the flag comes from a bucketed hash join."""
+    return lookup(
+        left, right_keys, key, build_key=right_key, how="flag",
+        flag_name=flag_name, max_broadcast=broadcast_max,
     )
-    n_keys = distinct.count()
-
-    if n_keys <= broadcast_max:
-        keys = np.sort(
-            np.concatenate(
-                [
-                    b[right_key].to_numpy(zero_copy_only=False)
-                    for b in distinct.iter_batches(batch_format="pyarrow")
-                ]
-            )
-            if n_keys
-            else np.empty(0, dtype=np.int64)
-        )
-        ref = ray.put(keys)
-
-        def probe(batch: pa.Table) -> pa.Table:
-            ks = ray.get(ref)
-            kv = batch[key]
-            if isinstance(kv, pa.ChunkedArray):
-                kv = kv.combine_chunks()
-            kv = kv.to_numpy(zero_copy_only=False)
-            if len(ks) == 0:
-                hit = np.zeros(len(kv), dtype=bool)
-            else:
-                pos = np.clip(np.searchsorted(ks, kv), 0, len(ks) - 1)
-                hit = ks[pos] == kv
-            return batch.append_column(flag_name, pa.array(hit))
-
-        return left.map_batches(probe, batch_format="pyarrow")
-
-    # Large key set: bucketed hash join (left outer) against the
-    # distinct keys carrying a constant marker; null marker -> False.
-    from engine.joins import hash_join
-
-    marked = distinct.map_batches(
-        lambda b: b.rename_columns([key]).append_column(
-            "_flag_marker", pa.array(np.ones(b.num_rows, dtype=bool))
-        ),
-        batch_format="pyarrow",
-    )
-    joined = hash_join(left, marked, key, how="left")
-
-    def finish(b: pa.Table) -> pa.Table:
-        f = pc.fill_null(b["_flag_marker"], False)
-        return b.drop_columns(["_flag_marker"]).append_column(flag_name, f)
-
-    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 SEMI_ANTI_CUTOFF = "2001-06-01"
 
 
-def q_semi_anti(sf_dir: str, broadcast_max: int = FLAG_BROADCAST_MAX) -> Dataset:
+def q_semi_anti(sf_dir: str) -> Dataset:
     """Orders flagged by whether any of their lineitems shipped after
     the cutoff (late-tail semi/anti partition in one pass)."""
     from engine.queries import _read
@@ -492,10 +422,7 @@ def q_semi_anti(sf_dir: str, broadcast_max: int = FLAG_BROADCAST_MAX) -> Dataset
         return b.filter(keep).select(["l_orderkey"])
 
     late_keys = li.map_batches(late, batch_format="pyarrow")
-    out = flag_join(
-        orders, late_keys, "o_orderkey", "l_orderkey", "has_late",
-        broadcast_max=broadcast_max,
-    )
+    out = flag_join(orders, late_keys, "o_orderkey", "l_orderkey", "has_late")
     return out.map_batches(
         lambda b: b.select(["o_orderkey", "o_orderpriority", "has_late"]),
         batch_format="pyarrow",

@@ -22,10 +22,9 @@ Scale shape:
   materialized — the reduced working set.
 - Marginals are grouped sums OVER THE PAIR TABLE (not the corpus —
   n_left(a) = Σ_b c(a,b)), i.e. vocab-scale, computed by the same
-  partition merge and broadcast once into the scoring stage (guarded;
-  at vocabularies beyond broadcast size the documented swap is a
-  bucketed join on left then right, the engine/joins.py machinery).
-- Scoring + top-k: per-block lift via the broadcast marginals, the
+  partition merge and joined onto the kept pairs by
+  ``engine.joins.lookup`` (broadcast while they fit, else hash join).
+- Scoring + top-k: per-block lift from the joined marginals, the
   per-block-prune ``topk`` on the total order (lift DESC, c DESC,
   left ASC, right ASC).
 
@@ -84,6 +83,12 @@ def _pair_partials_factory(window: int, text_col: str):
     return pair_partials
 
 
+_OUT_SCHEMA = pa.schema(
+    [("left_tok", pa.string()), ("right_tok", pa.string()),
+     ("pair_cnt", pa.int64()), ("lift_ppm", pa.int64())]
+)
+
+
 def cooc_lift(
     ds: Dataset,
     window: int = 3,
@@ -91,23 +96,18 @@ def cooc_lift(
     k: int = 50,
     text_col: str = "text",
     num_partitions: int = 32,
-    broadcast_limit: int = 8_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Top-k windowed co-occurrence pairs by exact integer lift.
 
-    ``mode='broadcast'`` ships the two vocab-scale marginal tables once
-    via ``ray.put``; ``mode='partition'`` (the beyond-broadcast swap,
-    auto-engaged above ``broadcast_limit`` marginal rows) replaces each
-    broadcast lookup with a bucketed :func:`engine.joins.hash_join` of
-    the pair table against its marginal on ``l`` then ``r`` — the
-    driver never materializes the marginals and the joins ship
-    (token, n) rows only. Both paths are bit-identical (pytest-forced
-    equivalence, the robots broadcast≡partition template)."""
-    from engine.shuffle import keyed_partition_map, topk
+    Each kept pair picks up its two vocab-scale marginals with an
+    :func:`engine.joins.lookup` left join on ``l`` then ``r``: a
+    broadcast searchsorted while a marginal fits, a bucketed hash join
+    of (token, n) rows past that. An empty corpus gives an empty
+    result with the output columns."""
+    import ray.data as rd
 
-    if mode not in ("auto", "broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
+    from engine.joins import lookup
+    from engine.shuffle import keyed_partition_map, topk
 
     partials = ds.map_batches(_pair_partials_factory(window, text_col), batch_format="pyarrow")
 
@@ -120,6 +120,9 @@ def cooc_lift(
     pairs = keyed_partition_map(
         partials, ["l", "r"], merge, num_partitions=num_partitions, out_schema=pair_schema
     ).materialize()
+    n_total = int(pairs.sum("c") or 0)
+    if n_total == 0:
+        return rd.from_arrow(_OUT_SCHEMA.empty_table())
 
     def marg_ds(col: str, out_name: str) -> Dataset:
         def m(df: pd.DataFrame) -> pd.DataFrame:
@@ -130,96 +133,30 @@ def cooc_lift(
         return keyed_partition_map(
             pairs, [col], m, num_partitions=8,
             out_schema=pa.schema([(col, pa.string()), (out_name, pa.int64())]),
-        ).materialize()
-
-    nl_ds, nr_ds = marg_ds("l", "n_l"), marg_ds("r", "n_r")
-    if mode == "auto":
-        mode = (
-            "broadcast"
-            if max(nl_ds.count(), nr_ds.count()) <= broadcast_limit
-            else "partition"
-        )
-    n_total = int(pairs.sum("c"))
-
-    if mode == "partition":
-        from engine.joins import hash_join
-
-        kept = pairs.filter(expr=f"c >= {int(min_count)}")
-        joined = hash_join(kept, nl_ds, "l", num_buckets=num_partitions)
-        joined = hash_join(joined, nr_ds, "r", num_buckets=num_partitions)
-
-        def score_join(batch: pa.Table) -> pa.Table:
-            c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(c) == 0:
-                return pa.table(
-                    {"left_tok": pa.array([], pa.string()),
-                     "right_tok": pa.array([], pa.string()),
-                     "pair_cnt": pa.array([], pa.int64()),
-                     "lift_ppm": pa.array([], pa.int64())}
-                )
-            a = batch["n_l"].to_numpy(zero_copy_only=False).astype(np.int64)
-            bb = batch["n_r"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if int(c.max()) * n_total >= 2**63 // 1_000_000:
-                raise OverflowError("lift numerator exceeds int64; use the 128-bit path")
-            if int(a.max()) * int(bb.max()) >= 2**63:
-                raise OverflowError("lift denominator exceeds int64; use the 128-bit path")
-            lift = (1_000_000 * c * n_total) // (a * bb)
-            return pa.table(
-                {"left_tok": pc.cast(batch["l"], pa.string()),
-                 "right_tok": pc.cast(batch["r"], pa.string()),
-                 "pair_cnt": pa.array(c), "lift_ppm": pa.array(lift)}
-            )
-
-        scored = joined.map_batches(score_join, batch_format="pyarrow")
-        return topk(
-            scored, ["lift_ppm", "pair_cnt", "left_tok", "right_tok"], k,
-            descending=[True, True, False, False],
         )
 
-    nl = (
-        nl_ds.to_pandas()
-        .rename(columns={"n_l": "n"})
-        .sort_values("l", kind="mergesort")
-        .reset_index(drop=True)
-    )
-    nr = (
-        nr_ds.to_pandas()
-        .rename(columns={"n_r": "n"})
-        .sort_values("r", kind="mergesort")
-        .reset_index(drop=True)
-    )
-    import ray
-
-    nl_ref = ray.put((nl["l"].to_numpy().astype(str), nl["n"].to_numpy()))
-    nr_ref = ray.put((nr["r"].to_numpy().astype(str), nr["n"].to_numpy()))
+    kept = pairs.filter(expr=f"c >= {int(min_count)}")
+    joined = lookup(kept, marg_ds("l", "n_l"), "l", how="left", take=["n_l"])
+    joined = lookup(joined, marg_ds("r", "n_r"), "r", how="left", take=["n_r"])
 
     def score(batch: pa.Table) -> pa.Table:
-        lv, lc = ray.get(nl_ref)
-        rv, rc = ray.get(nr_ref)
-        c = batch["c"].to_numpy(zero_copy_only=False)
-        keep = c >= min_count
-        if not keep.any():
-            return pa.table(
-                {"left_tok": pa.array([], pa.string()), "right_tok": pa.array([], pa.string()),
-                 "pair_cnt": pa.array([], pa.int64()), "lift_ppm": pa.array([], pa.int64())}
-            )
-        b = batch.filter(pa.array(keep))
-        c = b["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lt = b["l"].to_numpy(zero_copy_only=False).astype(str)
-        rt = b["r"].to_numpy(zero_copy_only=False).astype(str)
-        a = lc[np.searchsorted(lv, lt)].astype(np.int64)
-        bb = rc[np.searchsorted(rv, rt)].astype(np.int64)
+        c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(c) == 0:
+            return _OUT_SCHEMA.empty_table()
+        a = batch["n_l"].to_numpy(zero_copy_only=False).astype(np.int64)
+        bb = batch["n_r"].to_numpy(zero_copy_only=False).astype(np.int64)
         if int(c.max()) * n_total >= 2**63 // 1_000_000:
             raise OverflowError("lift numerator exceeds int64; use the 128-bit path")
         if int(a.max()) * int(bb.max()) >= 2**63:
             raise OverflowError("lift denominator exceeds int64; use the 128-bit path")
         lift = (1_000_000 * c * n_total) // (a * bb)
         return pa.table(
-            {"left_tok": pa.array(lt, pa.string()), "right_tok": pa.array(rt, pa.string()),
+            {"left_tok": pc.cast(batch["l"], pa.string()),
+             "right_tok": pc.cast(batch["r"], pa.string()),
              "pair_cnt": pa.array(c), "lift_ppm": pa.array(lift)}
         )
 
-    scored = pairs.map_batches(score, batch_format="pyarrow")
+    scored = joined.map_batches(score, batch_format="pyarrow")
     return topk(
         scored, ["lift_ppm", "pair_cnt", "left_tok", "right_tok"], k,
         descending=[True, True, False, False],

@@ -19,10 +19,11 @@ rows-only and is cross-checked in pytest against a scalar
 recomputation from the generators' truth columns.
 
 Scale shape: one chunk-parallel parse (zero shuffle), ONE digest-scale
-combiner shuffle inside the canonical dedup, a broadcast keeper
-semi-filter, then three zero-shuffle vectorized stages — the whole
-chain moves corpus text exactly once (parse output streaming into the
-filters), and only (digest, id) ints ever shuffle.
+combiner shuffle inside the canonical dedup, a keeper semi join and
+a blocklist anti join (``engine.joins.lookup``: broadcast while the id
+sets fit), then three zero-shuffle vectorized stages — below the
+broadcast bound the chain moves corpus text exactly once (parse output
+streaming into the filters), and only (digest, id) ints ever shuffle.
 """
 
 from __future__ import annotations
@@ -130,8 +131,7 @@ def crawl_ingest(
 
     Output: one row per surviving document —
     (doc_id, url, host, text, n_chars, score, label)."""
-    import ray
-
+    from engine.joins import lookup
     from engine.warc import read_warc
     from engine.webhtml import extract_text_batch
     from engine.weburl import RE_HOST, blocklist_filter, canonical_url_dedup
@@ -153,29 +153,16 @@ def crawl_ingest(
     docs = read_warc(chunks).map_batches(to_docs, batch_format="pyarrow")
 
     # Canonical-URL dedup verdicts on the (id, url) projection only;
-    # keeper ids broadcast once for the semi-filter (the X39 pattern —
-    # keeper sets are distinct-canonical-scale; the bucketed hash-semi
-    # is the documented swap past the broadcast bound).
+    # the keeper ids are the build side of a semi join (broadcast while
+    # they fit, a hash-join semi past that — never a driver collect).
     verd = canonical_url_dedup(
         docs, id_col="doc_id", url_col="url", num_partitions=num_partitions
     )
-    keepers = np.sort(
-        verd.map_batches(
-            lambda b: b.filter(b["is_keeper"]).select(["doc_id"]),
-            batch_format="pyarrow",
-        )
-        .to_pandas()["doc_id"]
-        .to_numpy()
+    keepers = verd.map_batches(
+        lambda b: b.filter(b["is_keeper"]).select(["doc_id"]),
+        batch_format="pyarrow",
     )
-    kref = ray.put(keepers)
-
-    def keep_keepers(b: pa.Table) -> pa.Table:
-        ks = ray.get(kref)
-        ids = b["doc_id"].to_numpy()
-        idx = np.minimum(np.searchsorted(ks, ids), max(len(ks) - 1, 0))
-        return b.filter(pa.array((len(ks) > 0) & (ks[idx] == ids)))
-
-    kept = docs.map_batches(keep_keepers, batch_format="pyarrow")
+    kept = lookup(docs, keepers, "doc_id", how="semi")
 
     # Canonical host (the canonicalize rule's host steps).
     def add_host(b: pa.Table) -> pa.Table:
@@ -190,34 +177,18 @@ def crawl_ingest(
 
     hosted = kept.map_batches(add_host, batch_format="pyarrow")
 
-    # Blocklist verdicts on the (id, host) projection; blocked ids are
-    # a tiny set (a blocklist kills whole domains, not the corpus) and
-    # broadcast once for the anti-filter.
-    blocked_ids = np.sort(
-        blocklist_filter(
-            hosted.select_columns(["doc_id", "host"]),
-            blocklist=blocklist,
-            id_col="doc_id",
-            host_col="host",
-        )
-        .map_batches(
-            lambda b: b.filter(b["blocked"]).select(["doc_id"]),
-            batch_format="pyarrow",
-        )
-        .to_pandas()["doc_id"]
-        .to_numpy()
+    # Blocklist verdicts on the (id, host) projection; the blocked ids
+    # (a blocklist kills whole domains, not the corpus) anti-join out.
+    blocked = blocklist_filter(
+        hosted.select_columns(["doc_id", "host"]),
+        blocklist=blocklist,
+        id_col="doc_id",
+        host_col="host",
+    ).map_batches(
+        lambda b: b.filter(b["blocked"]).select(["doc_id"]),
+        batch_format="pyarrow",
     )
-    bref = ray.put(blocked_ids)
-
-    def drop_blocked(b: pa.Table) -> pa.Table:
-        bs = ray.get(bref)
-        if len(bs) == 0:
-            return b
-        ids = b["doc_id"].to_numpy()
-        idx = np.minimum(np.searchsorted(bs, ids), len(bs) - 1)
-        return b.filter(pa.array(bs[idx] != ids))
-
-    unblocked = hosted.map_batches(drop_blocked, batch_format="pyarrow")
+    unblocked = lookup(hosted, blocked, "doc_id", how="anti")
 
     def extract(b: pa.Table) -> pa.Table:
         ex = extract_text_batch(

@@ -160,6 +160,25 @@ def _replicate(side: int, radius: int, id_col: str, x_col: str, y_col: str):
     return rep
 
 
+def _check_packable(pts: Dataset, side: int, radius: int, x_col: str, y_col: str) -> None:
+    """Raise unless every packed cell key ``kx << 21 | ky`` is exact:
+    the shifted cell coordinates must lie in [0, 2^21) for every
+    point and stencil offset, or distinct cells collide silently."""
+    from ray.data.aggregate import Max, Min
+
+    agg = pts.aggregate(Min(x_col), Min(y_col), Max(x_col), Max(y_col))
+    if agg[f"min({x_col})"] is None:  # no points
+        return
+    lo = min(agg[f"min({x_col})"], agg[f"min({y_col})"])
+    hi = max(agg[f"max({x_col})"], agg[f"max({y_col})"])
+    if lo < 0 or hi // side + 2 * radius >= 1 << 21:
+        raise ValueError(
+            f"coordinates [{lo}, {hi}] do not fit the packed cell key at "
+            f"side {side}, radius {radius}: need 0 <= coord and "
+            f"coord // side + 2 * radius < 2^21"
+        )
+
+
 def _max_cell_occupancy(
     pts: Dataset, side: int, x_col: str, y_col: str, num_partitions: int
 ) -> int:
@@ -272,7 +291,8 @@ def dbscan(
 ) -> Dataset:
     """Exact DBSCAN over integer points (see module docstring for the
     semantics and the distributed shape). ids must be unique int64;
-    coords non-negative with x // side < 2^20 (the packed cell key).
+    coords non-negative with coord // side + 2 * radius < 2^21 (the
+    packed cell key; checked, raises ValueError).
 
     Density contract (round-5 fix of the r4 'recorded, not coded'
     gap): the per-cell kernel's memory is the |home| x |group| int64
@@ -328,6 +348,7 @@ def dbscan(
                 "coincident points"
             )
 
+    _check_packable(pts, side, radius, x_col, y_col)
     rep = pts.map_batches(
         _replicate(side, radius, id_col, x_col, y_col), batch_format="pyarrow"
     )

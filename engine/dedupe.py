@@ -108,14 +108,6 @@ def _perm_seeds(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(num_perm,) signature: min over shingles of a*h+b (mod 2^64)."""
-    if len(shingles) == 0:
-        return np.full(len(a), MASK64, dtype=np.uint64)
-    m = (shingles[None, :] * a[:, None] + b[:, None]) & MASK64
-    return m.min(axis=1)
-
-
 def _flat_shingles(texts: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """All docs' shingle hashes in one flat array + per-doc counts —
     no per-doc Python loop. Same values as _shingle_hashes modulo
@@ -675,13 +667,7 @@ def jaccard_similarity_join_prefix(
     # candidates at sf0.1 vs ~1 s for this shape) is gone entirely.
     # The generic verify remains the right tool for LSH pair lists
     # whose endpoints lack the no-false-negative guarantee.
-    restricted = candidate_docs(
-        src,
-        cand,
-        id_col,
-        text_col,
-        max_broadcast_endpoints=max_broadcast_df,
-    )
+    restricted = candidate_docs(src, cand, id_col, text_col)
     # The semi-filter preserves corpus block structure; coalesce to an
     # endpoint-proportional block count (the measured mostly-empty-
     # block fix from the generic verify, 24.3 s -> 12.5 s at 1M docs).
@@ -1227,7 +1213,6 @@ def candidate_docs(
     pairs: Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    max_broadcast_endpoints: int = 4_000_000,
 ) -> Dataset:
     """Semi-filter the corpus to docs that are a candidate-pair
     endpoint, BEFORE any shuffle touches the text. On a dup-sparse
@@ -1235,84 +1220,27 @@ def candidate_docs(
     without this the full corpus text rides the verify's node-keyed
     shuffle only to be dropped in the partition.
 
-    Endpoint sets up to ``max_broadcast_endpoints`` ids (~32 MB of
-    int64 at the default) are broadcast via joins.semi_filter (ray.put
-    once, vectorized searchsorted per batch — the filter runs where
-    the doc blocks already live, zero text movement). ``2*n_pairs`` is
-    only a cheap UPPER bound on the endpoint count — clustered dups
-    blow it up quadratically (a 1000-doc exact-dup group is ~500k
-    pairs but 1000 endpoints), so when it exceeds the cap the DISTINCT
-    endpoint set is counted distributedly first and broadcast if it
-    fits. Only a genuinely huge endpoint set falls back to a bucketed
-    hash-join semi: the text still shuffles once, but only after the
-    filter's distinct-endpoint side is itself distributed; that join's
-    output is MATERIALIZED before returning — its union+sort subplan
-    nested inside the verify's own union+sort DAG deadlocked Ray's
-    (2.49) streaming resource manager at the 1M-doc soak scale (no
-    outputs, 0 CPU), and the candidate text is endpoint-scale so the
-    break point is bounded. ``pairs`` should be materialized by the
-    caller if it is also consumed elsewhere."""
-    n_pairs = pairs.count()
-    src = ds.select_columns([id_col, text_col])
+    The endpoint ids are the build side of a
+    :func:`engine.joins.lookup` semi join: broadcast when the distinct
+    endpoints fit (the filter runs where the doc blocks already live,
+    zero text movement), otherwise a Bloom-prefiltered hash-join semi.
+    The result is MATERIALIZED before returning — a hash-join
+    union+sort subplan nested inside the verify's own union+sort DAG
+    deadlocked Ray's (2.49) streaming resource manager at the 1M-doc
+    soak scale (no outputs, 0 CPU), and the candidate text is
+    endpoint-scale so the break point is bounded. ``pairs`` should be
+    materialized by the caller if it is also consumed elsewhere."""
+    from engine.joins import lookup
 
-    def _broadcast_from(batches) -> Dataset:
-        parts = [p for p in batches]
-        ep_ids = (
-            np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
-        )
-        from engine.joins import semi_filter
-
-        return semi_filter(src, ep_ids, id_col)
-
-    if 2 * n_pairs <= max_broadcast_endpoints:
-        return _broadcast_from(
-            np.unique(
-                np.concatenate(
-                    [
-                        b["id_a"].to_numpy(zero_copy_only=False),
-                        b["id_b"].to_numpy(zero_copy_only=False),
-                    ]
-                )
-            )
-            for b in pairs.iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-    from engine.joins import hash_join
-    from engine.shuffle import keyed_partition_map
-
-    def flat_eps(b: pa.Table) -> pa.Table:
-        ids = np.unique(
-            np.concatenate(
-                [
-                    b["id_a"].to_numpy(zero_copy_only=False),
-                    b["id_b"].to_numpy(zero_copy_only=False),
-                ]
-            )
+    def endpoints(b: pa.Table) -> pa.Table:
+        ids = np.concatenate(
+            [b["id_a"].to_numpy(zero_copy_only=False), b["id_b"].to_numpy(zero_copy_only=False)]
         )
         return pa.table({id_col: pa.array(ids.astype(np.int64))})
 
-    eps = keyed_partition_map(
-        pairs.map_batches(flat_eps, batch_format="pyarrow"),
-        [id_col],
-        lambda df: df.drop_duplicates([id_col]),
-        out_schema=pa.schema([(id_col, pa.int64())]),
-    ).materialize()
-    if eps.count() <= max_broadcast_endpoints:
-        return _broadcast_from(
-            b[id_col].to_numpy(zero_copy_only=False)
-            for b in eps.iter_batches(batch_size=None, batch_format="pyarrow")
-        )
-    # Bloom PREFILTER before the text shuffle: the endpoint bitset
-    # broadcasts in constant memory (<= 16 MiB) even when the exact id
-    # set cannot, so only candidate text (+ ~1% false positives, which
-    # the exact inner join below drops) enters the hash-join shuffle.
-    from engine.joins import bloom_bits_size, bloom_build, bloom_semi_filter
-
-    m_bits = bloom_bits_size(2 * n_pairs)
-    words = bloom_build(eps, id_col, m_bits)
-    src = bloom_semi_filter(src, words, id_col, m_bits)
-    # Materialize = DAG break (see docstring): candidate-scale text,
-    # object-store resident (spills under a cap), never driver-side.
-    return hash_join(src, eps, key=id_col, how="inner").materialize()
+    eps = pairs.map_batches(endpoints, batch_format="pyarrow")
+    src = ds.select_columns([id_col, text_col])
+    return lookup(src, eps, id_col, how="semi").materialize()
 
 
 def verify_pairs_jaccard_distributed(
@@ -1323,7 +1251,6 @@ def verify_pairs_jaccard_distributed(
     threshold: float = 0.5,
     shingle_k: int = 3,
     num_partitions: int = 32,
-    max_broadcast_endpoints: int = 4_000_000,
     rational_threshold: tuple[int, int] | None = None,
     emit_stats: bool = False,
     assume_distinct: bool = False,
@@ -1364,9 +1291,7 @@ def verify_pairs_jaccard_distributed(
     # join does both) — per-pair uniqueness is REQUIRED either way.
     if not assume_distinct:
         pairs = distinct_pairs(pairs).materialize()
-    cand = candidate_docs(
-        ds, pairs, id_col, text_col, max_broadcast_endpoints=max_broadcast_endpoints
-    )
+    cand = candidate_docs(ds, pairs, id_col, text_col)
     # The semi-filter preserves the CORPUS's block structure, leaving
     # candidate-scale rows scattered over corpus-scale block counts —
     # the downstream sorts then pay per-block overhead on mostly-empty

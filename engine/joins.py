@@ -1,21 +1,39 @@
-"""Relational join strategies (SURVEY.md §2.4-2.5, ray_guide join
-patterns).
+"""Relational joins, and the one rule that picks between them.
 
-- ``broadcast_lookup``: the small side (dimension table) is shipped
-  once to the object store (``ray.put``) and materialized per worker
-  process on first use; the per-batch lookup is a vectorized
-  searchsorted / dict gather. No shuffle. This is the shape of every
-  join the reference itself performs (static small sides).
-- ``hash_join``: explicit partitioned hash join for two large sides:
-  add ``bucket = hash(key) % B`` to both, co-group with a single
+``lookup`` is the equi-join for a probe side against a lookup set: a
+semi or anti filter, a membership flag, or a left/inner join against
+a build side that is unique on the key. It materializes the build
+side once, counts its distinct non-null keys and routes once:
+
+    distinct build keys <= BROADCAST_MAX_KEYS  ->  broadcast
+    otherwise                                  ->  hash_join
+
+- Broadcast: the sorted keys (and the ``take`` columns) go to the
+  object store with one ``ray.put``; every probe batch finds its rows
+  with one vectorized searchsorted (``_positions``). No shuffle, and
+  the probe side keeps its row order.
+- Partition: ``hash_join`` co-partitions both sides; the driver never
+  sees the keys. A semi join first drops probe rows that miss a Bloom
+  filter of the build keys, so only (probable) matches shuffle.
+
+Null keys match nothing on either route. Both routes return the same
+rows with the same types; only the row order differs.
+
+The legs, also used directly:
+
+- ``hash_join``: partitioned hash join for two large sides: add
+  ``bucket = hash(key) % B`` to both, co-group with a single
   ``groupby("bucket").map_groups`` doing an Arrow-native join per
   bucket (int64-exact; pandas merges cast null-filled int columns to
-  float64 and corrupt 62-bit ids).
-  Documented partitioning assumption: keys are hashable ints/strings;
-  hot keys should be pre-salted by the caller (split a hot key into
-  sub-buckets on the probe side and replicate the build row).
-- ``semi_filter`` / ``anti_filter``: broadcast the key set and filter
-  inside map_batches.
+  float64 and corrupt 62-bit ids). Keys are hashable ints/strings;
+  hot keys should be salted (``salted_hash_join``). The union of
+  tagged sides is the "Joins over UNION ALL" shape (SIGMOD 2018).
+- ``broadcast_lookup``: map-side join against a small Arrow table the
+  caller already holds (dimension tables).
+- ``semi_filter``: semi/anti filter against a key array the caller
+  already holds.
+- Bloom filters: a constant-memory broadcast semi PREFILTER for key
+  sets too large to broadcast exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +41,134 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+
+# The one route threshold: distinct build keys at or below it are
+# broadcast (~32 MB of int64). Read at call time, so tests can pin it.
+BROADCAST_MAX_KEYS = 4_000_000
+
+_HOWS = ("semi", "anti", "flag", "left", "inner")
+
+
+def lookup(
+    probe: Dataset,
+    build: Dataset,
+    key: str,
+    build_key: str | None = None,
+    how: str = "semi",
+    take: Sequence[str] = (),
+    flag_name: str | None = None,
+    max_broadcast: int | None = None,
+) -> Dataset:
+    """Join ``probe`` against ``build`` on ``probe[key] ==
+    build[build_key or key]`` (see the module docstring for the route).
+
+    - ``semi`` / ``anti``: keep the probe rows with / without a match.
+    - ``flag``: keep every probe row and append bool ``flag_name``.
+    - ``left`` / ``inner``: append ``take`` from the matching build row
+      (nulls, or drop the row, when there is none). The build side
+      must be unique on the key; the broadcast route raises otherwise.
+
+    semi, anti and flag reduce ``build`` to its distinct keys: per
+    block first, and with a distributed distinct only when the block
+    distincts together exceed the cap. ``max_broadcast`` overrides
+    ``BROADCAST_MAX_KEYS`` for one call."""
+    from engine.shuffle import keyed_partition_map
+
+    if how not in _HOWS:
+        raise ValueError(f"unknown how {how!r}")
+    if (how == "flag") != (flag_name is not None):
+        raise ValueError("flag_name goes with how='flag'")
+    take = list(take)
+    if take and how not in ("left", "inner"):
+        raise ValueError("take goes with how='left' or how='inner'")
+    cap = BROADCAST_MAX_KEYS if max_broadcast is None else max_broadcast
+    bkey = build_key or key
+    keys_only = how in ("semi", "anti", "flag")
+
+    def side_rows(b: pa.Table) -> pa.Table:
+        b = b.select([bkey, *take]).rename_columns([key, *take])
+        b = b.filter(pc.is_valid(b[key]))
+        return pa.table({key: pc.unique(b[key])}) if keys_only else b
+
+    side = build.map_batches(side_rows, batch_format="pyarrow").materialize()
+    n = side.count()
+    if keys_only and n > cap:
+        side = keyed_partition_map(
+            side, [key], lambda df: df.drop_duplicates([key]), 16,
+            out_schema=side.schema().base_schema,
+        ).materialize()
+        n = side.count()
+
+    if n <= cap:
+        t = _gather(side, build, key, bkey, take)
+        if how in ("semi", "anti"):
+            return semi_filter(probe, t[key].to_numpy(zero_copy_only=False), key, how == "anti")
+        if how == "flag":
+            ref = ray.put(np.unique(t[key].to_numpy(zero_copy_only=False)))
+
+            def flag(batch: pa.Table) -> pa.Table:
+                _, hit = _positions(ray.get(ref), batch[key])
+                return batch.append_column(flag_name, pa.array(hit))
+
+            return probe.map_batches(flag, batch_format="pyarrow")
+        if len(pc.unique(t[key])) < t.num_rows:
+            raise ValueError(f"lookup: build side is not unique on {bkey!r}")
+        return broadcast_lookup(probe, t, key, key, take, how)
+
+    if how in ("left", "inner"):
+        return hash_join(probe, side, key, how=how)
+    if how == "semi":
+        m_bits = bloom_bits_size(n)
+        probe = bloom_semi_filter(probe, bloom_build(side, key, m_bits), key, m_bits)
+        return hash_join(probe, side, key, how="inner")
+    marked = side.map_batches(
+        lambda b: b.append_column("_hit", pa.array(np.ones(b.num_rows, dtype=bool))),
+        batch_format="pyarrow",
+    )
+
+    def finish(b: pa.Table) -> pa.Table:
+        hit = pc.fill_null(b["_hit"], False)
+        b = b.drop_columns(["_hit"])
+        return b.append_column(flag_name, hit) if how == "flag" else b.filter(pc.invert(hit))
+
+    return hash_join(probe, marked, key, how="left").map_batches(finish, batch_format="pyarrow")
+
+
+def _gather(side: Dataset, build: Dataset, key: str, bkey: str, take: list) -> pa.Table:
+    """The materialized build side as one driver table. A side with no
+    rows has no schema, so its column types come from ``build``."""
+    parts = [
+        b for b in side.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows
+    ]
+    if parts:
+        return pa.concat_tables(parts, promote_options="default")
+    s = build.schema()
+    types = dict(zip(s.names, s.types)) if s is not None else {}
+    return pa.table(
+        {c: pa.array([], types.get(b, pa.null())) for c, b in zip([key, *take], [bkey, *take])}
+    )
+
+
+def _positions(sorted_keys: np.ndarray, col) -> tuple[np.ndarray, np.ndarray]:
+    """Searchsorted probe of a key column against sorted keys: the
+    position of each value and whether it is there. Null values (and
+    any value, when there are no keys) never hit."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    pos = np.zeros(len(col), dtype=np.int64)
+    hit = np.zeros(len(col), dtype=bool)
+    if len(sorted_keys) == 0 or len(col) == 0:
+        return pos, hit
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    kv = col.drop_null().to_numpy(zero_copy_only=False)
+    p = np.clip(np.searchsorted(sorted_keys, kv), 0, len(sorted_keys) - 1)
+    pos[valid] = p
+    hit[valid] = sorted_keys[p] == kv
+    return pos, hit
 
 
 def broadcast_lookup(
@@ -41,58 +182,28 @@ def broadcast_lookup(
     """Map-side join: for each row of ds, attach ``take_cols`` from
     the broadcast ``small`` table matched on key equality. 'inner'
     drops unmatched rows; 'left' leaves nulls."""
-    ref = ray.put(small)
+    small = small.filter(pc.is_valid(small[right_key])).sort_by(right_key).combine_chunks()
+    ref = ray.put((small[right_key].to_numpy(zero_copy_only=False), small.select(list(take_cols))))
 
-    class _Lookup:
-        def __init__(self):
-            t = ray.get(ref)
-            keys = t[right_key].to_numpy(zero_copy_only=False)
-            order = np.argsort(keys, kind="stable")
-            self.sorted_keys = keys[order]
-            self.cols = {
-                c: t[c].to_numpy(zero_copy_only=False)[order] for c in take_cols
-            }
-            self.types = {c: t.schema.field(c).type for c in take_cols}
+    def fn(batch: pa.Table) -> pa.Table:
+        ks, vals = ray.get(ref)
+        # Single-chunk the input before appending single-chunk
+        # lookup columns: pyarrow 16.1's variadic kernels
+        # (pc.coalesce at least) ZIP CHUNKS PAIRWISE when two
+        # ChunkedArray args have different chunk layouts, silently
+        # misaligning rows (reproduced: a 4-chunk key column + a
+        # 1-chunk appended column made downstream coalesce read
+        # other rows' values). Aligning here fixes every consumer.
+        batch = batch.combine_chunks()
+        pos, hit = _positions(ks, batch[left_key])
+        if how == "inner":
+            batch, pos, hit = batch.filter(pa.array(hit)), pos[hit], hit[hit]
+        idx = pa.array(pos, pa.int64(), mask=~hit)
+        for c in take_cols:
+            batch = batch.append_column(c, vals[c].take(idx))
+        return batch
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # Single-chunk the input before appending single-chunk
-            # lookup columns: pyarrow 16.1's variadic kernels
-            # (pc.coalesce at least) ZIP CHUNKS PAIRWISE when two
-            # ChunkedArray args have different chunk layouts, silently
-            # misaligning rows (reproduced: a 4-chunk key column + a
-            # 1-chunk appended column made downstream coalesce read
-            # other rows' values). Aligning here fixes every consumer.
-            batch = batch.combine_chunks()
-            if len(self.sorted_keys) == 0:  # empty small side
-                if how == "inner":
-                    return batch.slice(0, 0)
-                for c in take_cols:
-                    batch = batch.append_column(
-                        c, pa.nulls(batch.num_rows, self.types[c])
-                    )
-                return batch
-            k = batch[left_key]
-            if isinstance(k, pa.ChunkedArray):
-                k = k.combine_chunks()
-            kv = k.to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.sorted_keys, kv)
-            pos_c = np.clip(pos, 0, len(self.sorted_keys) - 1)
-            hit = self.sorted_keys[pos_c] == kv
-            if how == "inner":
-                batch = batch.filter(pa.array(hit))
-                pos_c = pos_c[hit]
-                hit = np.ones(len(pos_c), dtype=bool)
-            for c in take_cols:
-                vals = self.cols[c][pos_c]
-                if not hit.all():
-                    vals = pd.array(vals)
-                    vals[~hit] = None
-                    batch = batch.append_column(c, pa.array(vals))
-                else:
-                    batch = batch.append_column(c, pa.array(vals))
-            return batch
-
-    return ds.map_batches(_Lookup, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def hash_join(
@@ -176,16 +287,7 @@ def semi_filter(ds: Dataset, keys: np.ndarray, key: str, anti: bool = False) -> 
     ref = ray.put(np.sort(np.asarray(keys)))
 
     def fn(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        if len(ks) == 0:  # empty key set: semi keeps nothing, anti all
-            keep = np.full(batch.num_rows, bool(anti))
-            return batch.filter(pa.array(keep))
-        k = batch[key]
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        kv = k.to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(ks, kv), 0, len(ks) - 1)
-        hit = ks[pos] == kv
+        _, hit = _positions(ray.get(ref), batch[key])
         return batch.filter(pa.array(~hit if anti else hit))
 
     return ds.map_batches(fn, batch_format="pyarrow")

@@ -86,6 +86,11 @@ def deterministic_key_hash(batch: pa.Table, keys: Sequence[str]) -> np.ndarray:
             idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
             hk = uh[idx]
         else:
+            if pa.types.is_integer(kc.type) and kc.null_count:
+                # Null ints hash as 0: to_numpy would turn the whole
+                # column into float64, so the valid keys would hash
+                # unlike the same keys in a null-free block.
+                kc = kc.fill_null(0)
             kv = kc.to_numpy(zero_copy_only=False)
             if kv.dtype.kind in "iu":
                 hk = (kv.astype(np.int64) * np.int64(-7046029254386353131)) >> np.int64(32)
@@ -438,21 +443,3 @@ def choose_salts(hist, total_rows_sampled: int, target_reducers: int = 64, cap: 
     import math
 
     return max(1, min(cap, math.ceil(top_share * target_reducers * 4)))
-
-
-def except_keys(ds: Dataset, other: Dataset, key: str) -> Dataset:
-    """EXCEPT on a key column: anti-join via broadcast key set (small
-    right side) — SURVEY.md §2.5 set-ops."""
-    import ray
-
-    keys = other.unique(key)
-    from engine.joins import semi_filter
-
-    return semi_filter(ds, np.asarray(keys), key, anti=True)
-
-
-def intersect_keys(ds: Dataset, other: Dataset, key: str) -> Dataset:
-    keys = other.unique(key)
-    from engine.joins import semi_filter
-
-    return semi_filter(ds, np.asarray(keys), key, anti=False)

@@ -44,7 +44,12 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def _hash_column(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+    is_str = pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
+    if col.null_count and (is_str or pa.types.is_integer(col.type)):
+        # Nulls hash as a fixed value: left in, string dictionary
+        # indices and integer columns would convert to float.
+        col = col.fill_null("" if is_str else 0)
+    if is_str:
         from engine.shuffle import _fnv1a_bytes_vectorized
 
         enc = col.dictionary_encode()

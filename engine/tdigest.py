@@ -76,10 +76,6 @@ def quantile(digest: tuple[np.ndarray, np.ndarray], q) -> np.ndarray:
     return np.interp(np.asarray(q, dtype=np.float64) * weights.sum(), cum, means)
 
 
-def _digest_to_row(key_val, d, key_name: str) -> dict:
-    return {key_name: key_val, "means": d[0], "weights": d[1]}
-
-
 def grouped_quantile_sketch(
     ds: Dataset,
     key: str,

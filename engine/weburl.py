@@ -112,8 +112,6 @@ def canonical_url_dedup(
     id_col: str = "page_id",
     url_col: str = "url",
     num_partitions: int = 32,
-    max_broadcast: int = 8_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Per-row canonical URL + canonical-group verdicts: ``id_col, url,
     canon_url, n_forms (group size), keeper_id (min id of the group),
@@ -124,48 +122,21 @@ def canonical_url_dedup(
     :func:`engine.shuffle.grouped_count_sums` (per-block combiner
     partials — a hot canonical URL contributes one partial row per
     block, and ``salts`` protection is available there if crawl dups
-    are Zipfian).
-
-    ``mode='broadcast'``: the merged ``digest -> (cnt, min_id)`` table
-    is distinct-canonical-scale and broadcasts once via ``ray.put`` for
-    a searchsorted lookup per batch.  ``mode='partition'`` (the 100 TB
-    path beyond ``max_broadcast`` distinct groups — at 10^12 pages the
-    keeper table WILL exceed any broadcast cap): a bucketed
-    :func:`engine.joins.hash_join` of the per-row digest rows against
-    the keeper table on the digest; the driver never sees the keeper
-    table and the join ships (digest, cnt, min_id) int rows only.
-    ``'auto'`` counts the distinct groups and picks (robots_filter
-    routing precedent).  Both paths are bit-identical (pytest-forced
-    equivalence, the robots broadcast≡partition template).
+    are Zipfian). The merged ``digest -> (cnt, min_id)`` group table
+    joins back to the rows through :func:`engine.joins.lookup`: a
+    broadcast searchsorted while it fits, past that (at 10^12 pages
+    the keeper table WILL) a bucketed hash join that ships (digest,
+    cnt, min_id) int rows only.
     Exactness is digest-level (64-bit FNV of the canonical bytes — the
     content_digests precedent); the DuckDB mirror groups by the
     LITERAL canonical string, so the gate cross-checks digest- vs
     text-exactness on the corpus.
     """
-    import ray
     import pyarrow.compute as pc
 
     from engine.dedupe import _fnv1a_tokens
+    from engine.joins import lookup
     from engine.shuffle import grouped_count_sums
-
-    def digest_rows(b: pa.Table) -> pa.Table:
-        canon = canonicalize_urls(b[url_col])
-        d = _fnv1a_tokens(pc.cast(canon, pa.binary()).to_pylist())
-        return pa.table(
-            {id_col: b[id_col], "canon_digest": pa.array(d.view(np.int64))}
-        )
-
-    proj = ds.select_columns([id_col, url_col]).map_batches(
-        digest_rows, batch_format="pyarrow"
-    )
-    groups = grouped_count_sums(
-        proj, "canon_digest", min_cols=[id_col], num_partitions=num_partitions
-    ).materialize()
-
-    if mode == "auto":
-        mode = "broadcast" if groups.count() <= max_broadcast else "partition"
-    if mode not in ("broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     def canon_rows(b: pa.Table) -> pa.Table:
         canon = canonicalize_urls(b[url_col])
@@ -179,70 +150,36 @@ def canonical_url_dedup(
             }
         )
 
-    if mode == "partition":
-        # Beyond-broadcast path: co-partitioned hash join on the digest.
-        from engine.joins import hash_join
+    rows = ds.select_columns([id_col, url_col]).map_batches(
+        canon_rows, batch_format="pyarrow"
+    )
+    groups = grouped_count_sums(
+        rows.select_columns([id_col, "canon_digest"]),
+        "canon_digest",
+        min_cols=[id_col],
+        num_partitions=num_partitions,
+    )
+    min_id = f"min_{id_col}"
+    joined = lookup(rows, groups, "canon_digest", how="inner", take=["cnt", min_id])
 
-        rows = ds.select_columns([id_col, url_col]).map_batches(
-            canon_rows, batch_format="pyarrow"
-        )
-        joined = hash_join(rows, groups, "canon_digest", how="inner")
-
-        def finish(b: pa.Table) -> pa.Table:
-            ids = b[id_col]
-            if isinstance(ids, pa.ChunkedArray):
-                ids = ids.combine_chunks()
-            idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-            kk = b[f"min_{id_col}"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    id_col: ids,
-                    url_col: b[url_col],
-                    "canon_url": b["canon_url"],
-                    "n_forms": pc.cast(b["cnt"], pa.int64()),
-                    "keeper_id": pa.array(kk),
-                    "is_keeper": pa.array(kk == idv),
-                }
-            )
-
-        return joined.map_batches(finish, batch_format="pyarrow")
-
-    dparts, cparts, kparts = [], [], []
-    for b in groups.iter_batches(batch_size=None, batch_format="pyarrow"):
-        dparts.append(b["canon_digest"].to_numpy(zero_copy_only=False))
-        cparts.append(b["cnt"].to_numpy(zero_copy_only=False))
-        kparts.append(b[f"min_{id_col}"].to_numpy(zero_copy_only=False))
-    if dparts:
-        d = np.concatenate(dparts)
-        o = np.argsort(d, kind="stable")
-        d, cnt, kid = d[o], np.concatenate(cparts)[o], np.concatenate(kparts)[o]
-    else:
-        d = cnt = kid = np.zeros(0, dtype=np.int64)
-    ref = ray.put((d, cnt.astype(np.int64), kid.astype(np.int64)))
-
-    def annotate(b: pa.Table) -> pa.Table:
-        dd, cc, kk = ray.get(ref)
-        canon = canonicalize_urls(b[url_col])
-        h = _fnv1a_tokens(pc.cast(canon, pa.binary()).to_pylist()).view(np.int64)
-        pos = np.searchsorted(dd, h)
+    def finish(b: pa.Table) -> pa.Table:
         ids = b[id_col]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
         idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
+        kk = b[min_id].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 id_col: ids,
                 url_col: b[url_col],
-                "canon_url": canon,
-                "n_forms": pa.array(cc[pos]),
-                "keeper_id": pa.array(kk[pos]),
-                "is_keeper": pa.array(kk[pos] == idv),
+                "canon_url": b["canon_url"],
+                "n_forms": pc.cast(b["cnt"], pa.int64()),
+                "keeper_id": pa.array(kk),
+                "is_keeper": pa.array(kk == idv),
             }
         )
 
-    return ds.select_columns([id_col, url_col]).map_batches(
-        annotate, batch_format="pyarrow"
-    )
+    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 # --------------------------------------------------------- corpus

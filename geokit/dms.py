@@ -34,13 +34,6 @@ def deg2dms(dd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sign * d, m, s
 
 
-def normalize_lon(lon_deg: np.ndarray) -> np.ndarray:
-    """Normalize longitude to (-180, 180]."""
-    lon = np.asarray(lon_deg, dtype=np.float64)
-    out = np.mod(lon + 180.0, 360.0) - 180.0
-    return np.where(out == -180.0, 180.0, out)
-
-
 def format_deg(dd: np.ndarray, decimals: int = 9) -> np.ndarray:
     """Fixed-precision decimal-degree strings (reference gk-slo output
     precision ~1e-9 deg, SURVEY.md §2.2 S2)."""

@@ -54,15 +54,6 @@ def test_analytics_sql_exact(ray_session, con, name):
     _assert_exact(fn(SF).to_pandas(), con.sql(sql).df())
 
 
-def test_flag_join_hash_path_equals_broadcast(ray_session, con):
-    """broadcast_max=1 forces the bucketed hash-join route; both paths
-    must produce the identical flag table (and match the oracle)."""
-    from engine.analytics import SQL_SEMI_ANTI, q_semi_anti
-
-    hj = q_semi_anti(SF, broadcast_max=1).to_pandas()
-    _assert_exact(hj, con.sql(SQL_SEMI_ANTI).df())
-
-
 def test_flag_join_empty_right_side(ray_session):
     """A cutoff past max(l_shipdate) leaves the key set empty: every
     order must flag False on the broadcast path (len(ks)==0 guard)."""

@@ -285,6 +285,47 @@ def test_unsplittable_pileup_raises_loudly():
         dbscan(pts, 40, 5, max_cell_points=50).materialize()
 
 
+@pytest.mark.parametrize(
+    "x, eps, why",
+    [
+        # max(x) // side + 2 * radius reaches 2^21: kx bits spill into ky's
+        ([0, (1 << 21) - 2], 1, "too large"),
+        # a negative cell index ORs its sign bits over ky
+        ([-5, 10], 4, "negative"),
+    ],
+)
+def test_packed_cell_key_bound_raises(x, eps, why):
+    """Coordinates whose cell indices do not fit the 21-bit halves of
+    the packed ``kx << 21 | ky`` key must raise, not collide."""
+    pts = rd.from_arrow(
+        pa.table(
+            {
+                "id": pa.array([0, 1], pa.int64()),
+                "x": pa.array(x, pa.int64()),
+                "y": pa.array([0, 0], pa.int64()),
+            }
+        )
+    )
+    with pytest.raises(ValueError, match="packed cell key"):
+        dbscan(pts, eps, 2, max_cell_points=None).materialize()
+
+
+def test_packed_cell_key_bound_edge_fits():
+    """One below the bound still runs: two neighbors at the top cell
+    form one cluster."""
+    pts = rd.from_arrow(
+        pa.table(
+            {
+                "id": pa.array([0, 1], pa.int64()),
+                "x": pa.array([(1 << 21) - 4, (1 << 21) - 3], pa.int64()),
+                "y": pa.array([0, 0], pa.int64()),
+            }
+        )
+    )
+    out = dbscan(pts, 1, 2, max_cell_points=None).to_pandas()
+    assert sorted(out["cluster"]) == [0, 0]
+
+
 def test_contract_disabled_matches_default():
     """max_cell_points=None (no probe, classic grid) equals the
     default probing path on data under the cap."""

@@ -421,7 +421,8 @@ def test_verify_duplicated_pairs_deduped():
 def test_candidate_docs_semi_filter_bounds_text_movement():
     """candidate_docs keeps ONLY endpoint docs — the non-candidate
     corpus text never enters the verify shuffle (round-2 verdict #1).
-    Both the broadcast path and the hash-join-semi path agree."""
+    The hash-join-semi route is in test_swap_paths'
+    test_lookup_route_parity."""
     t = _doc_table(with_dups=False)  # 60 docs
     ds = rd.from_arrow(t)
     pairs = rd.from_arrow(
@@ -435,17 +436,18 @@ def test_candidate_docs_semi_filter_bounds_text_movement():
     # 5 distinct endpoints out of 60 docs.
     bc = dedupe.candidate_docs(ds, pairs, "doc_id", "text")
     assert sorted(bc.to_pandas().doc_id) == [3, 7, 9, 12]
-    hj = dedupe.candidate_docs(ds, pairs, "doc_id", "text", max_broadcast_endpoints=0)
-    assert sorted(hj.to_pandas().doc_id) == [3, 7, 9, 12]
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_candidate_docs_clustered_pairs_rescue_broadcast():
-    """A clustered dup group makes 2*n_pairs quadratic while the
-    endpoint SET stays linear (the 1M-soak deadlock trigger): with
-    2*n_pairs over the cap but distinct endpoints under it,
-    candidate_docs must take the distinct-count rescue back to the
-    broadcast path and return exactly the endpoint docs."""
+def test_candidate_docs_clustered_pairs_rescue_broadcast(monkeypatch):
+    """A clustered dup group makes the per-block endpoint counts add
+    up to far more than the distinct endpoints (the 1M-soak deadlock
+    trigger): with their sum over the cap but the distinct endpoints
+    under it, lookup's distinct recount must route back to the
+    broadcast path (no hash join) and return exactly the endpoint
+    docs."""
+    import engine.joins as joins
+
     texts = [f"doc number {i} words {' '.join(['tok'+str(j) for j in range(8)])}" for i in range(200)]
     t = pa.table(
         {
@@ -453,29 +455,33 @@ def test_candidate_docs_clustered_pairs_rescue_broadcast():
             "text": pa.array(texts),
         }
     )
-    # one 30-doc clique: 435 pairs, 30 endpoints
+    # one 30-doc clique: 435 pairs in 8 blocks, 30 endpoints
     ia, ib = np.triu_indices(30, k=1)
     pairs = rd.from_arrow(
         pa.table({"id_a": pa.array(ia.astype(np.int64)), "id_b": pa.array(ib.astype(np.int64))})
-    )
-    # cap: 2*435=870 > 100 >= 30 endpoints -> rescue path
-    out = dedupe.candidate_docs(
-        rd.from_arrow(t), pairs, "doc_id", "text", max_broadcast_endpoints=100
-    )
+    ).repartition(8)
+
+    def no_hash_join(*a, **kw):
+        raise AssertionError("took the hash-join route")
+
+    monkeypatch.setattr(joins, "BROADCAST_MAX_KEYS", 100)
+    monkeypatch.setattr(joins, "hash_join", no_hash_join)
+    out = dedupe.candidate_docs(rd.from_arrow(t), pairs, "doc_id", "text")
     assert sorted(out.to_pandas().doc_id) == list(range(30))
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_hash_join_semi_path_equivalent():
+def test_verify_hash_join_semi_path_equivalent(monkeypatch):
     """Forcing the huge-endpoint-set hash-join semi path yields the
     same verified pairs as the broadcast path."""
+    import engine.joins as joins
+
     t = _doc_table()
     ds = rd.from_arrow(t)
     pairs_ds = dedupe.minhash_lsh_pairs(ds)
     a = dedupe.verify_pairs_jaccard_distributed(ds, pairs_ds, threshold=0.5).to_pandas()
-    b = dedupe.verify_pairs_jaccard_distributed(
-        ds, pairs_ds, threshold=0.5, max_broadcast_endpoints=0
-    ).to_pandas()
+    monkeypatch.setattr(joins, "BROADCAST_MAX_KEYS", 0)
+    b = dedupe.verify_pairs_jaccard_distributed(ds, pairs_ds, threshold=0.5).to_pandas()
     assert set(zip(a.id_a, a.id_b)) == set(zip(b.id_a, b.id_b))
     assert (10, 61) in set(zip(a.id_a, a.id_b))
 
@@ -1915,6 +1921,40 @@ def test_sig_index_pack_roundtrip():
     assert (_unpack_u64_rows(arr.slice(2, 5), 16) == m[2:7]).all()
     with pytest.raises(ValueError):
         _unpack_u64_rows(arr, 8)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_minhash_index_cache_sees_same_second_rewrite(tmp_path, monkeypatch):
+    """Rewriting documents.parquet within the same second must give a
+    fresh index, not the cached one of the old corpus."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    import engine.queries as q
+
+    monkeypatch.setattr(q, "MINHASH_INDEX_CACHE", str(tmp_path / "cache"))
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    src = sf / "documents.parquet"
+    second = 1_700_000_000 * 10**9
+
+    def corpus(ids, ns):
+        t = pa.table(
+            {"doc_id": pa.array(ids, pa.int64()),
+             "text": pa.array([f"document {i} has some words" for i in ids])}
+        )
+        pq.write_table(t, src)
+        os.utime(src, ns=(second, second + ns))
+        return rd.from_arrow(t)
+
+    a = q.minhash_index_cached(str(sf), corpus(np.arange(0, 6), 100))
+    assert sorted(a.to_pandas()["keep_id"]) == list(range(0, 6))
+    b = q.minhash_index_cached(str(sf), corpus(np.arange(10, 16), 900))
+    assert sorted(b.to_pandas()["keep_id"]) == list(range(10, 16))
+    # an unchanged corpus reads the cached index
+    c = q.minhash_index_cached(str(sf), rd.from_arrow(pa.table({"doc_id": [99], "text": ["x"]})))
+    assert sorted(c.to_pandas()["keep_id"]) == list(range(10, 16))
 
 
 def test_incremental_minhash_matches_scalar_oracle(tmp_path):

@@ -122,27 +122,6 @@ def test_canonical_urls_query_matches_duckdb_oracle(ray_session):
         assert (av == bv).all(), c
 
 
-def test_dedup_broadcast_guard_routes_to_join(ray_session):
-    # Round 5: the guard no longer raises — beyond max_broadcast the
-    # auto router engages the bucketed hash-join swap (bit-identical;
-    # full parity matrix in tests/test_swap_paths.py).
-    import ray
-
-    from engine.weburl import canonical_url_dedup, make_messy_urls_table
-
-    tbl = make_messy_urls_table(50).select(["page_id", "url"])
-    ds = ray.data.from_arrow(tbl)
-    a = (
-        canonical_url_dedup(ds, num_partitions=2, max_broadcast=3)
-        .to_pandas().sort_values("page_id").reset_index(drop=True)
-    )
-    b = (
-        canonical_url_dedup(ds, num_partitions=2, mode="broadcast")
-        .to_pandas().sort_values("page_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b[a.columns])
-
-
 # ----------------- domain blocklist filtering (X43, round 4)
 
 

@@ -114,9 +114,12 @@ def main() -> None:
         pc.unique(urls["truth_canon"].combine_chunks())
     )
 
-    def url_stats(mode: str) -> tuple[int, int, int, float]:
+    import engine.joins as joins
+
+    def url_stats(max_keys: int) -> tuple[int, int, int, float]:
         t0 = time.time()
-        res = canonical_url_dedup(uds, num_partitions=64, mode=mode)
+        joins.BROADCAST_MAX_KEYS = max_keys  # 0 forces the hash-join route
+        res = canonical_url_dedup(uds, num_partitions=64)
 
         def bs(b: pa.Table) -> pa.Table:
             k = pc.sum(pc.cast(b["is_keeper"], pa.int64())).as_py() or 0
@@ -139,8 +142,8 @@ def main() -> None:
             round(time.time() - t0, 1),
         )
 
-    kb, fb, sb, tb = url_stats("broadcast")
-    kp, fp, sp, tp = url_stats("partition")
+    kb, fb, sb, tb = url_stats(joins.BROADCAST_MAX_KEYS)
+    kp, fp, sp, tp = url_stats(0)
     assert (kb, fb, sb) == (kp, fp, sp), "canonical_url broadcast != partition"
     assert kb == truth_groups, f"keepers {kb} != truth groups {truth_groups}"
     out.update(
