@@ -44,6 +44,21 @@ import pyarrow as pa
 from ray.data import Dataset
 
 
+def _i64able(t: pa.DataType) -> bool:
+    return pa.types.is_integer(t) or pa.types.is_temporal(t)
+
+
+def _reject_nulls(t, cols: Sequence[str], side: str) -> None:
+    """Null ``on`` values and null integer/temporal keys have no as-of
+    position, so every route raises on them; null string keys match
+    nothing (the pandas legs drop null-key right rows). ``t`` is an
+    Arrow table or a pandas frame."""
+    for c in cols:
+        n = t[c].null_count if isinstance(t, pa.Table) else int(t[c].isna().sum())
+        if n:
+            raise ValueError(f"asof_join: {n} null value(s) in {side} column {c!r}")
+
+
 def asof_join(
     left: Dataset,
     right: Dataset,
@@ -76,6 +91,10 @@ def asof_join(
     shuffle, the big side never moves (the broadcast_lookup pattern).
     Pass ``broadcast_threshold=0`` to force the co-partition shuffle
     path when the right side scales with the corpus.
+
+    Null ``on`` values, and null keys of an integer or temporal type,
+    raise ``ValueError`` on every route; null string keys match
+    nothing.
     """
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be backward|forward, got {direction!r}")
@@ -105,6 +124,8 @@ def asof_join(
         c for c in r_out if pa.types.is_integer(dict(out_fields)[c])
     }
     fill = dict(fill or {})
+    strict = [on, key] if _i64able(l_types[key]) else [on]  # see _reject_nulls
+    strict_r = [on_r, *strict[1:]]
 
     def finish_fill(out: pd.DataFrame) -> pd.DataFrame:
         """Post-merge null handling shared by both execution paths:
@@ -127,7 +148,7 @@ def asof_join(
     if broadcast_threshold > 0 and right.count() <= broadcast_threshold:
         return _asof_join_broadcast(
             left, right, key, on, on_r, payload, direction, tie_breaks,
-            out_schema, out_cols, r_out, finish_fill, fill,
+            out_schema, out_cols, r_out, finish_fill, fill, strict,
         )
 
     def tag_left(batch: pa.Table) -> pa.Table:
@@ -154,6 +175,9 @@ def asof_join(
     def part_fn(df: pd.DataFrame) -> pd.DataFrame:
         l = df.loc[df["_side"] == 0, l_cols].copy()
         r = df.loc[df["_side"] == 1, [key, on_r, *payload]].copy()
+        _reject_nulls(l, strict, "left")
+        _reject_nulls(r, strict_r, "right")
+        r = r[r[key].notna()]  # a null string key matches nothing
         if len(l) == 0:
             return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols}).head(0)
         # The union pads each side's exclusive columns with typed nulls,
@@ -204,7 +228,8 @@ def _asof_join_broadcast(
     out_cols: list,
     r_out: list,
     finish_fill,
-    fill: Mapping[str, object] | None = None,
+    fill: Mapping[str, object] | None,
+    strict: list,
 ) -> Dataset:
     """Small-right-side path: collect the right table once (bounded by
     broadcast_threshold rows), sort it ONCE by (key, on, tie_breaks)
@@ -231,9 +256,7 @@ def _asof_join_broadcast(
         [t for t in (ray.get(r) for r in right.to_arrow_refs()) if t.num_columns]
     )
     rtab = pa.table({on_r if c == on else c: rtab[c] for c in rtab.schema.names})
-
-    def _i64able(t: pa.DataType) -> bool:
-        return pa.types.is_integer(t) or pa.types.is_temporal(t)
+    _reject_nulls(rtab, [on_r, *strict[1:]], "right")
 
     def _i64(arr) -> np.ndarray:
         if isinstance(arr, pa.ChunkedArray):
@@ -276,6 +299,7 @@ def _asof_join_broadcast(
         def lookup_arrow(b: pa.Table) -> pa.Table:
             r_struct_, rk_, rpay = ray.get(rref)
             n_r = len(rk_)
+            _reject_nulls(b, strict, "left")
             lk, lt_ = _i64(b[key]), _i64(b[on])
             l_struct = np.empty(len(lk), dtype=[("k", "i8"), ("t", "i8")])
             l_struct["k"], l_struct["t"] = lk, lt_
@@ -312,12 +336,13 @@ def _asof_join_broadcast(
     rdf = rtab.to_pandas()
     asc = [True] + [direction == "backward"] * len(tie_breaks)
     rdf = rdf.sort_values([on_r, *tie_breaks], ascending=asc, kind="mergesort")
-    rdf = rdf[[key, on_r, *payload]].reset_index(drop=True)
+    rdf = rdf.loc[rdf[key].notna(), [key, on_r, *payload]].reset_index(drop=True)
     rref = ray.put(rdf)
 
     def lookup(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols}).head(0)
+        _reject_nulls(df, strict, "left")
         r = ray.get(rref)
         if len(r) == 0:
             out = df.copy()

@@ -196,22 +196,20 @@ def bpe_merges(
     n_merges: int = 8,
     text_col: str = "text",
     num_partitions: int = 16,
-    mode: str = "auto",
 ) -> pa.Table:
     """Run ``n_merges`` exact BPE merge steps; returns the merge table
     ``(step, lhs, rhs, merged, pair_cnt)`` — the trained merge list, in
     training order. Small by construction (one row per merge).
 
-    ``mode``: "auto" (default) iterates driver-side when the
-    materialized word table is at most ``LOCAL_VOCAB_LIMIT`` rows and
-    distributed otherwise; "local" / "distributed" force a path. Both
-    paths share the same kernels and total order — results identical
-    (pytest-equal)."""
+    Iterates driver-side when the materialized word table is at most
+    ``LOCAL_VOCAB_LIMIT`` rows and distributed otherwise. Both paths
+    share the same kernels and total order — results identical
+    (pytest-equal, with the limit pinned)."""
     from engine.shuffle import keyed_partition_map, topk
 
     words = word_seq_counts(ds, text_col, num_partitions).materialize()
 
-    if mode == "local" or (mode == "auto" and words.count() <= LOCAL_VOCAB_LIMIT):
+    if words.count() <= LOCAL_VOCAB_LIMIT:
         # One bounded driver collect of the vocab-scale table.
         wt = pa.concat_tables(
             [pa.table(b) for b in words.iter_batches(batch_format="pyarrow")]
@@ -327,8 +325,6 @@ def bpe_token_counts(
     id_col: str = "doc_id",
     text_col: str = "text",
     num_partitions: int = 16,
-    broadcast_limit: int = 50_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Train-then-APPLY (X55): per-doc BPE token counts under the
     ``n_merges`` merges trained on the same corpus — the encode side
@@ -338,29 +334,27 @@ def bpe_token_counts(
     Scale shape: ONE corpus-scale word-count pass (shared with
     training), vocab-scale merge iterations (local under
     LOCAL_VOCAB_LIMIT, else the distributed loop), then the
-    token → final-symbol-count map — vocab-scale.  ``mode='broadcast'``
-    ships it once (``ray.put``) into ONE corpus-scale counting pass
-    (searchsorted lookup + reduceat per batch); the corpus text moves
-    twice total (count pass + encode pass), never shuffles.
-    ``mode='partition'`` (the beyond-broadcast swap, auto-engaged above
-    ``broadcast_limit`` vocab rows): per-block (doc, token, c) partials
-    bucket-hash-join against the vocab map on token
+    token → final-symbol-count map — vocab-scale. The route is the
+    ``engine.joins`` rule: at most ``joins.BROADCAST_MAX_KEYS`` vocab
+    rows -> the map ships once (``ray.put``) into ONE corpus-scale
+    counting pass (searchsorted lookup + reduceat per batch); the
+    corpus text moves twice total (count pass + encode pass), never
+    shuffles. Beyond it (the beyond-broadcast swap): per-block (doc,
+    token, c) partials bucket-hash-join against the vocab map on token
     (:func:`engine.joins.hash_join` — the driver never sees the
     vocab), then one doc-keyed co-partition sums n_words / n_bpe per
-    doc. Both paths are bit-identical (pytest-forced equivalence)."""
+    doc. Both routes are bit-identical (tests/test_swap_paths.py
+    route parity)."""
     import ray
 
+    from engine import joins
     from engine.shuffle import keyed_partition_map, topk
-
-    if mode not in ("auto", "broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     words = word_seq_counts(
         ds, text_col, num_partitions, keep_token=True
     ).materialize()
     n_vocab = words.count()
-    if mode == "auto":
-        mode = "broadcast" if n_vocab <= broadcast_limit else "partition"
+    broadcast = n_vocab <= joins.BROADCAST_MAX_KEYS
 
     if n_vocab <= LOCAL_VOCAB_LIMIT:
         wt = pa.concat_tables(
@@ -407,7 +401,7 @@ def bpe_token_counts(
 
             words = words.map_batches(apply, batch_format="pyarrow").materialize()
         toks = nsyms = None
-        if mode == "broadcast":
+        if broadcast:
             wt = pa.concat_tables(
                 [pa.table(b) for b in words.iter_batches(batch_format="pyarrow")]
             )
@@ -422,10 +416,8 @@ def bpe_token_counts(
                 pc.split_pattern(pc.utf8_trim_whitespace(seq_col), "  ")
             ).to_numpy(zero_copy_only=False).astype(np.int64)
 
-    if mode == "partition":
+    if not broadcast:
         import ray.data as _rd
-
-        from engine.joins import hash_join
 
         if toks is not None:
             vocab_ds = _rd.from_arrow(
@@ -475,7 +467,7 @@ def bpe_token_counts(
             )
 
         tok_rows = ds.map_batches(doc_tok_partials, batch_format="pyarrow")
-        joined = hash_join(
+        joined = joins.hash_join(
             tok_rows, vocab_ds, "token", num_buckets=num_partitions, how="inner"
         )
 

@@ -15,9 +15,10 @@ Semantics (exactly as mirrored in SQL — change together):
   A snapshot's rows are implicit upserts carrying the seq they were
   written at; a changelog may hold many entries per key.
 
-Scale design — the property that matters at 100 TB:
-  * ``mode="broadcast"`` (auto-picked when the changelog's per-key
-    winner set fits ``max_broadcast``): the changelog reduces to
+Scale design — the property that matters at 100 TB. The route is the
+``engine.joins`` rule on the changelog's per-key winner count: at
+most ``joins.BROADCAST_MAX_KEYS`` winners -> broadcast, else shuffle.
+  * broadcast: the changelog reduces to
     winners with ONE changelog-scale co-partition, the winner table
     broadcasts once via ``ray.put``, and the base corpus NEVER enters
     a shuffle — one pruned key-column pass finds which changed keys
@@ -27,7 +28,7 @@ Scale design — the property that matters at 100 TB:
     wants), and brand-new keys append from the winner table. Daily
     changelogs are ~1e-3 of a 100 TB base; shuffling the base to
     merge them is the classic anti-pattern this path avoids.
-  * ``mode="shuffle"``: the general path — tag src, align schemas,
+  * shuffle: the general path — tag src, align schemas,
     union, one co-partition by key hash, vectorized per-partition
     winner take (lexsort + drop_duplicates keep-last). Needed only
     when the changelog rivals the base (e.g. a backfill); the union
@@ -139,27 +140,23 @@ def snapshot_merge(
     key: str,
     seq_col: str = "seq",
     op_col: str = "op",
-    mode: str = "auto",
     num_partitions: int = 64,
-    max_broadcast: int = 4_000_000,
 ) -> Dataset:
     """Latest-wins merge of ``base`` (unique keys, implicit upserts)
     with ``changelog`` (op column: 'u' upsert / 'd' delete). Returns
     the next snapshot with the base's column order.
 
-    ``mode``: 'broadcast' | 'shuffle' | 'auto' (broadcast iff the
-    changelog winner count fits ``max_broadcast``)."""
+    Route (module docstring): at most ``joins.BROADCAST_MAX_KEYS``
+    changelog winners -> broadcast, else the co-partition shuffle."""
+    from engine import joins
+
     base_cols = base.schema().names
     assert op_col not in base_cols, "base is a snapshot: implicit upserts only"
     cl_cols = changelog.schema().names
     assert set(cl_cols) == set(base_cols) | {op_col}, (base_cols, cl_cols)
 
     winners = changelog_winners(changelog, key, seq_col, op_col).materialize()
-    n_win = winners.count()
-    if mode == "auto":
-        mode = "broadcast" if n_win <= max_broadcast else "shuffle"
-
-    if mode == "broadcast":
+    if winners.count() <= joins.BROADCAST_MAX_KEYS:
         wdf = winners.to_pandas().sort_values(key, kind="stable")
         wkeys = wdf[key].to_numpy()
 

@@ -194,6 +194,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
     [line dedup] -> decontamination -> split -> partitioned write
     (engine.curation.curate). The ray-job deployment shape matches
     cmd_run (--address auto attaches to a `ray start` head)."""
+    import tempfile
+
     import ray
 
     _init_ray(args)
@@ -217,18 +219,21 @@ def cmd_curate(args: argparse.Namespace) -> int:
         line_dedup = True
     elif args.line_dedup:
         line_dedup = int(args.line_dedup)
-    _, report = curate(
-        ds,
-        langs=tuple(args.langs.split(",")),
-        min_tokens=args.min_tokens,
-        min_alpha_milli=args.min_alpha_milli,
-        neardup_threshold=args.neardup_threshold,
-        scrub_pii=args.scrub_pii,
-        line_dedup=line_dedup,
-        contamination_queries=queries,
-        val_permille=args.val_permille,
-        out_dir=args.output,
-    )
+    # the checkpoints are spent once out_dir is written
+    with tempfile.TemporaryDirectory(prefix="curate-") as cache:
+        _, report = curate(
+            ds,
+            langs=tuple(args.langs.split(",")),
+            min_tokens=args.min_tokens,
+            min_alpha_milli=args.min_alpha_milli,
+            neardup_threshold=args.neardup_threshold,
+            scrub_pii=args.scrub_pii,
+            line_dedup=line_dedup,
+            contamination_queries=queries,
+            val_permille=args.val_permille,
+            out_dir=args.output,
+            cache_dir=cache,
+        )
     print(json.dumps(report))
     ray.shutdown()
     return 0

@@ -46,11 +46,12 @@ Composition and scale contracts (each stage's detail lives on its op):
 The driver never holds corpus rows — only sparse drop-id sets and
 summed metric partials.
 
-NOTE: ``cache_dir`` (default: a fresh tempdir under /tmp) must be on
-storage visible to all workers (shared FS / object store URI on a
+NOTE: ``cache_dir`` (default: a fresh ``curate-*`` tempdir) must be
+on storage visible to all workers (shared FS / object store URI on a
 real cluster — the same assumption every parquet sink here makes).
-The returned Dataset reads lazily from it; delete it only after
-consuming the result.
+The caller owns the directory, the default one too: nothing here
+removes it. The returned Dataset reads lazily from it; delete it
+only after consuming the result.
 """
 
 from __future__ import annotations
@@ -220,7 +221,9 @@ def curate(
     given, also writes ``{out_dir}/train`` and ``{out_dir}/val``
     parquet directories. The returned Dataset is a lazy read of the
     final checkpoint under ``cache_dir`` — consuming it re-reads
-    parquet, never re-executes the chain."""
+    parquet, never re-executes the chain. The caller owns
+    ``cache_dir`` (default: a fresh ``curate-*`` tempdir) and removes
+    it once the result is consumed."""
     from engine.joins import semi_filter
 
     cache = cache_dir or tempfile.mkdtemp(prefix="curate-", dir="/tmp")

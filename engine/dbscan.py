@@ -63,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray.data as rd
 from ray.data import Dataset
 
 # --- gate-corpus derivation constants (single source: engine + SQL mirror)
@@ -379,8 +380,17 @@ def dbscan(
     deg = tagged.map_batches(take_deg, batch_format="pyarrow")
     pairs = tagged.map_batches(take_pairs, batch_format="pyarrow")
 
-    core_ids = deg.map_batches(
-        lambda b: b.filter(b["is_core"]).select(["id"]), batch_format="pyarrow"
+    def typed(d: Dataset, cols: list) -> Dataset:
+        # With no core points, or no core-core pair, a side has no
+        # blocks and so no schema; hash_join needs its int64 columns.
+        d = d.materialize()
+        if d.schema() is not None:
+            return d
+        return rd.from_arrow(pa.schema([(c, pa.int64()) for c in cols]).empty_table())
+
+    core_ids = typed(
+        deg.map_batches(lambda b: b.filter(b["is_core"]).select(["id"]), batch_format="pyarrow"),
+        ["id"],
     )
     pairs = flag_join(pairs, core_ids, "ia", "id", "core_a")
     pairs = flag_join(pairs, core_ids, "ib", "id", "core_b").materialize()
@@ -395,10 +405,11 @@ def dbscan(
         b = b.filter(m)
         return pa.table({"id_a": b["ia"], "id_b": b["ib"]})
 
-    labels = connected_components_distributed(
-        pairs.map_batches(cc_edges, batch_format="pyarrow")
-    ).map_batches(
-        lambda b: b.rename_columns(["id", "g"]), batch_format="pyarrow"
+    labels = typed(
+        connected_components_distributed(
+            pairs.map_batches(cc_edges, batch_format="pyarrow")
+        ).map_batches(lambda b: b.rename_columns(["id", "g"]), batch_format="pyarrow"),
+        ["id", "g"],
     )
 
     def core_coalesce(b: pa.Table) -> pa.Table:
@@ -410,10 +421,11 @@ def dbscan(
     # isolated cores (no core neighbor) keep their own id; materialized
     # because BOTH the border path and the final union consume it
     # (core-scale reduced table, one row per core point)
-    corelab = (
-        hash_join(core_ids, labels, "id", how="left")
-        .map_batches(core_coalesce, batch_format="pyarrow")
-        .materialize()
+    corelab = typed(
+        hash_join(core_ids, labels, "id", how="left").map_batches(
+            core_coalesce, batch_format="pyarrow"
+        ),
+        ["id", "g"],
     )
 
     def border_cand(b: pa.Table) -> pa.Table:
@@ -425,9 +437,10 @@ def dbscan(
         return pa.table({"ia": b["ia"], "ib": b["ib"]})
 
     bp = hash_join(
-        pairs.map_batches(border_cand, batch_format="pyarrow"),
-        corelab.map_batches(
-            lambda b: b.rename_columns(["ib", "g"]), batch_format="pyarrow"
+        typed(pairs.map_batches(border_cand, batch_format="pyarrow"), ["ia", "ib"]),
+        typed(
+            corelab.map_batches(lambda b: b.rename_columns(["ib", "g"]), batch_format="pyarrow"),
+            ["ib", "g"],
         ),
         "ib",
         how="inner",

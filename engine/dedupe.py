@@ -419,7 +419,7 @@ def _shingle_df_table(rows: Dataset, num_partitions: int = 64) -> Dataset:
 def _collect_df_ref(dfs: Dataset):
     """Driver-collect a (sorted shingle hashes, df) pair from the df
     table and ``ray.put`` it once — the broadcast leg; routing happens
-    in the caller (jaccard_similarity_join_prefix mode switch)."""
+    in the caller (jaccard_similarity_join_prefix)."""
     import ray
 
     parts_s, parts_c = [], []
@@ -445,8 +445,6 @@ def jaccard_similarity_join_prefix(
     shingle_k: int = 3,
     threshold: tuple[int, int] = (1, 2),
     num_partitions: int = 64,
-    max_broadcast_df: int = 4_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Exact Jaccard self-join via PREFIX FILTERING (Bayardo et al.
     'Scaling Up All Pairs Similarity Search', WWW'07; Xiao et al.
@@ -463,15 +461,16 @@ def jaccard_similarity_join_prefix(
     Stages (text never enters a shuffle until the endpoint-filtered
     verify):
       1. df pass — per-block shingle counts, one (s, partial) int64
-         shuffle; under ``mode='broadcast'`` the df>=2 map broadcasts
-         once (``ray.put``), under ``mode='partition'`` (the
-         beyond-broadcast swap, auto-engaged above ``max_broadcast_df``
-         shared shingles) it stays distributed and the df lookup is a
+         shuffle; the route is the ``engine.joins`` rule: at most
+         ``joins.BROADCAST_MAX_KEYS`` shared (df>=2) shingles -> the
+         df map broadcasts once (``ray.put``); beyond it (the
+         beyond-broadcast swap) it stays distributed and the df lookup is a
          bucketed LEFT :func:`engine.joins.hash_join` of the shingle
          rows on s (absent ⇒ df=1), followed by one doc-keyed
          co-partition that re-groups each doc's annotated shingles to
          cut its prefix — two extra int-row shuffles, no driver
-         collect; both legs bit-identical (pytest-forced equivalence);
+         collect; both legs bit-identical (tests/test_swap_paths.py
+         route parity);
       2. prefix pass — re-shingle per block, per-doc lexsort by
          (df, s), emit only prefix (id, s, n, pos) rows (pos = the
          shingle's 0-based position in the doc's full sorted order);
@@ -499,10 +498,8 @@ def jaccard_similarity_join_prefix(
     """
     import ray
 
+    from engine import joins
     from engine.shuffle import keyed_partition_map
-
-    if mode not in ("auto", "broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     num, den = threshold
     src = ds.select_columns([id_col, text_col])
@@ -512,9 +509,8 @@ def jaccard_similarity_join_prefix(
         fn_kwargs=dict(id_col=id_col, text_col=text_col, shingle_k=shingle_k),
     )
     dfs = _shingle_df_table(rows, num_partitions).materialize()
-    if mode == "auto":
-        mode = "broadcast" if dfs.count() <= max_broadcast_df else "partition"
-    ref = _collect_df_ref(dfs) if mode == "broadcast" else None
+    broadcast = dfs.count() <= joins.BROADCAST_MAX_KEYS
+    ref = _collect_df_ref(dfs) if broadcast else None
 
     def prefix_rows(b: pa.Table) -> pa.Table:
         t = shingle_set_rows(b, id_col, text_col, shingle_k)
@@ -550,16 +546,13 @@ def jaccard_similarity_join_prefix(
             }
         )
 
-    if mode == "broadcast":
+    if broadcast:
         prefix = src.map_batches(prefix_rows, batch_format="pyarrow")
     else:
         # Hash-partitioned df-join leg: LEFT join shingle rows against
         # the df table on s (absent => df 1), then co-partition by doc
         # to rebuild each doc's rarest-first order and cut its prefix.
-        from engine.joins import hash_join
-        from engine.shuffle import keyed_partition_map
-
-        annotated = hash_join(
+        annotated = joins.hash_join(
             rows, dfs, "s", num_buckets=num_partitions, how="left"
         )
 
@@ -807,6 +800,12 @@ def connected_components_distributed(
 
     edges = pairs.materialize()
     n_edges = edges.count()  # scalar — no data reaches the driver
+    out_schema = pa.schema([("doc_id", pa.int64()), ("group_id", pa.int64())])
+    if n_edges == 0:
+        # typed, so a consumer's join sees int64 columns, not no schema
+        import ray.data as rd
+
+        return rd.from_arrow(out_schema.empty_table())
     # Fast path: a dup graph that fits one worker's heap converges in
     # a SINGLE task (vectorized union-find with pointer jumping inside
     # the worker — not on the driver). The round-based propagation
@@ -842,9 +841,7 @@ def connected_components_distributed(
         out = edges.repartition(1).map_batches(
             cc_whole, batch_format="pandas", batch_size=None
         )
-        return conform_blocks(
-            out, pa.schema([("doc_id", pa.int64()), ("group_id", pa.int64())])
-        )
+        return conform_blocks(out, out_schema)
     # Partition count sized to the measured edge count: one partition
     # per ~20k edges keeps every round a handful of tasks while
     # preserving the co-partitioned shape at any scale.
@@ -1481,42 +1478,20 @@ def minhash_dedup_verdict(
     group survives, matching the exact-dedup A3 keep-min rule."""
     import pyarrow.compute as pc
 
-    from engine.joins import hash_join
+    from engine.joins import lookup
 
     pairs = minhash_lsh_pairs(ds, id_col=id_col, text_col=text_col, shingle_k=shingle_k)
     verified = verify_pairs_jaccard_distributed(
         ds, pairs, id_col=id_col, text_col=text_col, threshold=threshold, shingle_k=shingle_k
     )
-    # Materialized (object store, not driver): hash_join reads
-    # right.schema(), and schema inference over the LAZY label plan
-    # unifies in the zero-column empty blocks Ray's map_groups emits,
-    # typing group_id as null. One row per dup-graph node — small
-    # relative to the corpus at any scale.
-    labels = connected_components_distributed(verified).materialize()
-    if id_col != "doc_id":
-        labels = labels.map_batches(
-            lambda b: b.rename_columns([id_col, "group_id"]), batch_format="pyarrow"
-        )
-    if labels.count() <= 2_000_000:
-        # Label table fits comfortably in memory: broadcast it as ONE
-        # Arrow table (ray.put, vectorized searchsorted per batch — not
-        # a Python dict with a per-row .get) instead of paying the
-        # bucketed join's shuffle. hash_join remains the path for
-        # label sets beyond a single broadcast.
-        from engine.joins import broadcast_lookup
-
-        batches = list(labels.iter_batches(batch_size=None, batch_format="pyarrow"))
-        schema = pa.schema([(id_col, pa.int64()), ("group_id", pa.int64())])
-        lab_tbl = (
-            pa.concat_tables(batches, promote_options="default").select(schema.names)
-            if batches
-            else schema.empty_table()
-        )
-        joined = broadcast_lookup(
-            ds.select_columns([id_col]), lab_tbl, id_col, id_col, ["group_id"], how="left"
-        )
-    else:
-        joined = hash_join(ds.select_columns([id_col]), labels, key=id_col, how="left")
+    # One label row per dup-graph node — small relative to the corpus
+    # at any scale; lookup routes the label join (at most
+    # joins.BROADCAST_MAX_KEYS labels -> broadcast, else hash_join).
+    labels = connected_components_distributed(verified)
+    joined = lookup(
+        ds.select_columns([id_col]), labels, id_col, build_key="doc_id",
+        how="left", take=["group_id"],
+    )
 
     def verdict(batch: pa.Table) -> pa.Table:
         # pyarrow 16.1 pc.coalesce misaligns differently-chunked args
@@ -1602,8 +1577,6 @@ def line_dedup(
     text_col: str = "text",
     token_width: int | None = None,
     num_partitions: int = 32,
-    max_broadcast_drops: int = 4_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Corpus-wide line-level exact dedup (the C4 rule: a line that
     occurs more than once in the corpus survives only at its FIRST
@@ -1627,9 +1600,10 @@ def line_dedup(
     3. rebuild scan — drop keys broadcast once (ray.put + per-block
        searchsorted, the contamination_flags pattern); each doc block
        re-derives its lines LOCALLY and rejoins the kept ones. Doc
-       text never moves; only digests and drop keys do. Beyond
-       ``max_broadcast_drops`` (or with ``mode='partition'`` forced)
-       the BEYOND-BROADCAST path engages instead: drop keys co-group
+       text never moves; only digests and drop keys do. The route
+       is the ``engine.joins`` rule: at most
+       ``joins.BROADCAST_MAX_KEYS`` drop keys -> broadcast; beyond
+       it the BEYOND-BROADCAST path engages instead: drop keys co-group
        per doc into one packed int64 blob row (duplicate-doc-scale),
        a bucketed :func:`engine.joins.hash_join` LEFT-joins the corpus
        against that blob table on doc id (one doc-keyed reassembly
@@ -1637,12 +1611,12 @@ def line_dedup(
        once), and the rebuild decodes each doc's own blob locally.
        Bloom is NOT valid for this anti semantics (false positives
        would delete innocent lines); the join is exact.  Both paths
-       are bit-identical (pytest-forced equivalence, robots
-       broadcast≡partition template).
+       are bit-identical (tests/test_swap_paths.py route parity).
     """
     import ray
     import pyarrow.compute as pc
 
+    from engine import joins
     from engine.shuffle import keyed_partition_map
 
     def _check_ids(idv: np.ndarray) -> None:
@@ -1708,13 +1682,6 @@ def line_dedup(
         out_schema=pa.schema([("drop_key", pa.int64())]),
     ).materialize()
 
-    if mode == "auto":
-        mode = (
-            "broadcast" if drop_ds.count() <= max_broadcast_drops else "partition"
-        )
-    if mode not in ("broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     def _finish(ids: pa.Array, nl: np.ndarray, lines, dropped: np.ndarray):
         kept = lines.filter(pa.array(~dropped))
         n_drop = np.bincount(
@@ -1735,11 +1702,9 @@ def line_dedup(
             }
         )
 
-    if mode == "partition":
+    if drop_ds.count() > joins.BROADCAST_MAX_KEYS:
         # Beyond-broadcast path: per-doc blob of dropped line numbers,
         # bucketed left hash join on doc id, local blob decode.
-        from engine.joins import hash_join
-
         def add_doc(b: pa.Table) -> pa.Table:
             dk = b["drop_key"].to_numpy(zero_copy_only=False)
             return b.append_column(
@@ -1770,7 +1735,7 @@ def line_dedup(
             num_partitions=num_partitions,
             out_schema=pa.schema([(id_col, pa.int64()), ("_drop_blob", pa.binary())]),
         )
-        joined = hash_join(
+        joined = joins.hash_join(
             ds.select_columns([id_col, text_col]), drop_tbl, id_col, how="left"
         )
 
@@ -2090,8 +2055,6 @@ def exact_substring_dedup(
     text_col: str = "text",
     L: int = 15,
     num_partitions: int = 32,
-    max_broadcast: int = 4_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Remove every duplicated L-token span from all but its canonical
     first occurrence.  Output per doc: ``id_col, n_toks, n_removed,
@@ -2107,8 +2070,12 @@ def exact_substring_dedup(
        a no-false-negative superset filter (a duplicated window's h1
        total is >= 2; h1-collision riders are eliminated in pass 2).
     2. OCCURRENCES of dup digests only: a second map pass re-derives
-       windows and keeps those whose h1 is in the broadcast sorted dup
-       set — at web scale the duplicated fraction (boilerplate) is a
+       windows and keeps those whose h1 is in the dup-digest table —
+       one :func:`engine.joins.lookup` semi join, so the route is the
+       ``engine.joins`` rule (at most ``joins.BROADCAST_MAX_KEYS``
+       dup digests -> broadcast searchsorted; beyond it a
+       Bloom-prefiltered hash join, which shuffles only the probable
+       dups) — at web scale the duplicated fraction (boilerplate) is a
        small tail of all windows, so this shuffle is candidate-scale
        (h1, h2, packed (doc,start)) ints.  One co-partition on
        (h1, h2) picks the canonical min occurrence per digest and
@@ -2122,18 +2089,13 @@ def exact_substring_dedup(
        min(start+L, n)) and rebuilds kept text zero-copy (ListArray
        offsets + binary_join).
 
-    Beyond ``max_broadcast`` (or ``mode='partition'`` forced) each
-    broadcast set independently swaps to its co-partitioned variant:
-    the dup-digest probe of pass 2 becomes a bucketed
-    :func:`engine.analytics.flag_join` of ALL window rows against the
-    dup-digest table on h1 (token-scale shuffle — the honest cost of
-    outgrowing the broadcast; the flag routing itself re-routes
-    broadcast-vs-hash_join by key count), and the pass-3 removal spans
-    co-group per doc into one packed int64 blob row joined back on doc
-    id via :func:`engine.joins.hash_join` (the line_dedup reassembly
-    shape — the only path where doc text enters a shuffle, once).
-    ``mode='auto'`` routes each set by its own size; both paths are
-    bit-identical (pytest-forced equivalence).
+    Beyond ``joins.BROADCAST_MAX_KEYS`` removal spans, pass 3 swaps
+    to its co-partitioned variant: the spans co-group per doc into
+    one packed int64 blob row joined back on doc id via
+    :func:`engine.joins.hash_join` (the line_dedup reassembly shape —
+    the only path where doc text enters a shuffle, once). Each pass
+    routes by its own size; both routes are bit-identical
+    (tests/test_swap_paths.py route parity).
 
     Exactness is digest-level (two independent 64-bit rolling hashes,
     the dedup_documents/content_digests precedent); the DuckDB mirror
@@ -2152,6 +2114,7 @@ def exact_substring_dedup(
     import ray
     import pyarrow.compute as pc
 
+    from engine import joins
     from engine.shuffle import grouped_count_sums, keyed_partition_map
 
     def win_partials(b: pa.Table) -> pa.Table:
@@ -2168,30 +2131,12 @@ def exact_substring_dedup(
         cnt = np.diff(np.append(starts, len(v))).astype(np.int64)
         return pa.table({"h1": pa.array(v[starts]), "cnt": pa.array(cnt)})
 
-    if mode not in ("auto", "broadcast", "partition"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     partials = ds.map_batches(win_partials, batch_format="pyarrow")
     totals = grouped_count_sums(partials, "h1", sum_cols=["cnt"],
                                 num_partitions=num_partitions)
-    dup_tbl = totals.filter(expr="sum_cnt >= 2").select_columns(["h1"]).materialize()
-    dup_mode = mode
-    if dup_mode == "auto":
-        dup_mode = "broadcast" if dup_tbl.count() <= max_broadcast else "partition"
-
-    if dup_mode == "broadcast":
-        dup_parts = [
-            b["h1"].to_numpy(zero_copy_only=False)
-            for b in dup_tbl.iter_batches(batch_size=None, batch_format="pyarrow")
-        ]
-        dup_h1 = (np.sort(np.concatenate(dup_parts)) if dup_parts
-                  else np.zeros(0, dtype=np.int64))
-        dup_ref = ray.put(dup_h1)
-    else:
-        dup_ref = None  # co-partitioned flag_join path below
+    dup_tbl = totals.filter(expr="sum_cnt >= 2").select_columns(["h1"])
 
     def occurrences(b: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref) if dup_ref is not None else None
         ids = b[id_col]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
@@ -2203,31 +2148,16 @@ def exact_substring_dedup(
             raise ValueError("doc token count exceeds _WIN_POS_BITS")
         th = _fnv1a_tokens(pc.cast(flat, pa.binary()).to_pylist())
         h1, h2, wc = _window_digests(th, counts, L)
-        v1 = h1.view(np.int64)
-        if dup is None:
-            hit = np.ones(len(v1), dtype=bool)  # flag_join filters later
-        elif len(dup) and len(v1):
-            pos = np.clip(np.searchsorted(dup, v1), 0, len(dup) - 1)
-            hit = dup[pos] == v1
-        else:
-            hit = np.zeros(len(v1), dtype=bool)
         w_starts = np.concatenate([[0], np.cumsum(wc)[:-1]])
-        start = np.arange(len(v1), dtype=np.int64) - np.repeat(w_starts, wc)
+        start = np.arange(len(h1), dtype=np.int64) - np.repeat(w_starts, wc)
         key = (np.repeat(idv, wc) << _WIN_POS_BITS) | start
-        return pa.table({"h1": pa.array(v1[hit]),
-                         "h2": pa.array(h2.view(np.int64)[hit]),
-                         "span_key": pa.array(key[hit])})
+        return pa.table({"h1": pa.array(h1.view(np.int64)),
+                         "h2": pa.array(h2.view(np.int64)),
+                         "span_key": pa.array(key)})
 
-    occ = ds.map_batches(occurrences, batch_format="pyarrow")
-    if dup_mode == "partition":
-        from engine.analytics import flag_join
-
-        # Forced-partition mode pushes flag_join's own routing to the
-        # hash_join path too (broadcast_max=0); auto keeps the cap.
-        occ = flag_join(
-            occ, dup_tbl, "h1", "h1", "_dup",
-            broadcast_max=0 if mode == "partition" else max_broadcast,
-        ).filter(expr="_dup").select_columns(["h1", "h2", "span_key"])
+    occ = joins.lookup(
+        ds.map_batches(occurrences, batch_format="pyarrow"), dup_tbl, "h1", how="semi"
+    )
 
     def losers(df: pd.DataFrame) -> pd.DataFrame:
         order = df.sort_values(["h1", "h2", "span_key"], kind="stable")
@@ -2241,12 +2171,6 @@ def exact_substring_dedup(
         occ, ["h1", "h2"], losers, num_partitions=num_partitions,
         out_schema=pa.schema([("span_key", pa.int64())]),
     ).materialize()
-
-    span_mode = mode
-    if span_mode == "auto":
-        span_mode = (
-            "broadcast" if drop_ds.count() <= max_broadcast else "partition"
-        )
 
     def _finish_sub(ids, counts: np.ndarray, flat, removed: np.ndarray):
         kept = flat.filter(pa.array(~removed))
@@ -2268,11 +2192,9 @@ def exact_substring_dedup(
             "kept_chars": pc.cast(pc.utf8_length(kept_text), pa.int64()),
         })
 
-    if span_mode == "partition":
+    if drop_ds.count() > joins.BROADCAST_MAX_KEYS:
         # Beyond-broadcast spans: per-doc blob of local start positions,
         # bucketed left hash join on doc id, local difference-array mark.
-        from engine.joins import hash_join
-
         def add_doc(b: pa.Table) -> pa.Table:
             sk = b["span_key"].to_numpy(zero_copy_only=False)
             return b.append_column(
@@ -2300,7 +2222,7 @@ def exact_substring_dedup(
                 [(id_col, pa.int64()), ("_span_blob", pa.binary())]
             ),
         )
-        joined = hash_join(
+        joined = joins.hash_join(
             ds.select_columns([id_col, text_col]), span_tbl, id_col, how="left"
         )
 
@@ -2451,6 +2373,13 @@ def minhash_index(
     return ds.map_batches(build, batch_format="pyarrow")
 
 
+#: incremental_minhash_dedup verifies on the driver when the distinct
+#: candidate pairs are at most this many (one collect of the pair list
+#: and an endpoint-restricted signature gather); above it two hash
+#: joins attach the signatures. Read at call time, so tests can pin it.
+VERIFY_LOCAL_MAX_PAIRS = 200_000
+
+
 def incremental_minhash_dedup(
     new_ds: Dataset,
     index: Dataset,
@@ -2461,7 +2390,6 @@ def incremental_minhash_dedup(
     shingle_k: int = 3,
     rational_threshold: tuple[int, int] = (1, 2),
     num_partitions: int = 32,
-    max_broadcast_pairs: int = 200_000,
 ) -> Dataset:
     """Near-dup a NEW crawl increment against an EXISTING corpus's
     persisted minhash signature index WITHOUT re-reading old text —
@@ -2481,7 +2409,7 @@ def incremental_minhash_dedup(
          group-min absorbs repeats), so no global pair dedup is paid
          on the fast path;
       3. verify: when the candidate set fits the documented guard
-         (``max_broadcast_pairs``), both endpoints' signatures are
+         (``VERIFY_LOCAL_MAX_PAIRS``), both endpoints' signatures are
          gathered by an endpoint-restricted filter of the signature
          tables and broadcast ONCE (ray.put; candidate-endpoint scale
          — the candidate_docs idiom), and each pair batch verifies by
@@ -2514,7 +2442,7 @@ def incremental_minhash_dedup(
     Returns Dataset[id_col, keep(bool), dup_of(int64)]."""
     import ray
 
-    from engine.joins import broadcast_lookup, hash_join
+    from engine.joins import broadcast_lookup, hash_join, lookup
     from engine.shuffle import keyed_partition_map
 
     num, den = rational_threshold
@@ -2582,7 +2510,7 @@ def incremental_minhash_dedup(
         out_schema=PAIR_SCHEMA,
     ).materialize()  # candidate-scale DAG break (count + verify read it)
     n_pairs = pairs.count()
-    if n_pairs > max_broadcast_pairs:
+    if n_pairs > VERIFY_LOCAL_MAX_PAIRS:
         # raw pairs repeat once per colliding band (dup-heavy inputs
         # inflate them up to bands x): dedup globally, then re-check —
         # the broadcast verify is usually still viable
@@ -2592,7 +2520,7 @@ def incremental_minhash_dedup(
         n_pairs = pairs.count()
 
     lab_tbl: pa.Table | None = None
-    if n_pairs <= max_broadcast_pairs:
+    if n_pairs <= VERIFY_LOCAL_MAX_PAIRS:
         # Broadcast regime == the pair list is driver-bounded by
         # definition, so collect it ONCE and finish the verify AND the
         # per-new-doc min-keeper driver-side (r5 latency trim: the
@@ -2701,7 +2629,7 @@ def incremental_minhash_dedup(
             min_keeper,
             num_partitions=int(max(8, min(num_partitions, n_pairs // 65536))),
             out_schema=pa.schema([("id_b", pa.int64()), ("dup_idx", pa.int64())]),
-        ).materialize()  # matched-doc scale; hash_join/broadcast read its schema
+        )  # matched-doc scale; lookup routes the label join
 
     # derive the id roll from the MATERIALIZED signature table — not
     # from new_ds, whose lineage would re-execute the whole increment
@@ -2709,21 +2637,12 @@ def incremental_minhash_dedup(
     new_ids = new_sigs.map_batches(
         lambda b: pa.table({id_col: b["keep_id"]}), batch_format="pyarrow"
     )
-    if lab_tbl is None and labels.count() <= 2_000_000:
-        batches = list(labels.iter_batches(batch_size=None, batch_format="pyarrow"))
-        schema = pa.schema([("id_b", pa.int64()), ("dup_idx", pa.int64())])
-        lab_tbl = (
-            pa.concat_tables(batches, promote_options="default").select(schema.names)
-            if batches
-            else schema.empty_table()
-        )
     if lab_tbl is not None:
         joined = broadcast_lookup(new_ids, lab_tbl, id_col, "id_b", ["dup_idx"], how="left")
     else:
-        lab = labels.map_batches(
-            lambda b: b.rename_columns([id_col, "dup_idx"]), batch_format="pyarrow"
+        joined = lookup(
+            new_ids, labels, id_col, build_key="id_b", how="left", take=["dup_idx"]
         )
-        joined = hash_join(new_ids, lab, key=id_col, how="left")
 
     def verdict(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -20,16 +20,11 @@ Design notes (100 TB / multi-node):
   real web graphs need per-key salting of the dst-sum first, which
   ``grouped_count_sums(salts=...)`` already provides).
 
-* **Per-iteration data movement**: ``mode="broadcast"`` ships the
-  dense rank vector (8 B/node) to every task via ``ray.put`` and
-  aggregates dst-sums with the combiner (`grouped_count_sums`) —
-  right whenever the rank VECTOR fits in a worker heap (~10^8 nodes
-  / 1 GB); the corpus-scale edge table streams and never re-shuffles.
-  ``mode="partitioned"`` never materializes a dense vector: ranks
-  live as a Dataset and each iteration is one sentinel-union
-  co-partition by src (a fused rank->edge attach, see inline note)
-  plus one combiner dst-sum — both sides shuffle only
-  (id, int64, int64) rows, ~24 B/row.  A production deployment
+* **Per-iteration data movement**: PageRank never materializes a
+  dense rank vector: ranks live as a Dataset and each iteration is
+  one sentinel-union co-partition by src (a fused rank->edge attach,
+  see inline note) plus one combiner dst-sum — both sides shuffle
+  only (id, int64, int64) rows, ~24 B/row.  A production deployment
   iterating many rounds would pin the edge partitions in actor state
   to avoid re-partitioning edges each round; at the 5-iteration depth
   used here the re-partitioned attach is the simpler, still
@@ -85,20 +80,13 @@ def derive_link_edges(
     return nodes.map_batches(fn, batch_format="pyarrow")
 
 
-def _new_ranks(sum_c: np.ndarray, scale: int, damp_pct: int) -> np.ndarray:
-    teleport = ((100 - damp_pct) * scale) // 100
-    return teleport + (damp_pct * sum_c) // 100
-
-
 def pagerank(
     nodes: Dataset,
     edges: Dataset,
-    num_nodes: int,
     iters: int = 5,
     out_degree: int | None = 4,
     scale: int = 10**12,
     damp_pct: int = 85,
-    mode: str = "partitioned",
     num_partitions: int = 16,
     seed_mod: int | None = None,
     init_ranks: Dataset | None = None,
@@ -112,8 +100,7 @@ def pagerank(
     multiset itself inside the src co-partition (every edge of u is
     co-located there, so the count is exact with no extra shuffle);
     nodes with out-degree 0 simply contribute nothing — the dangling
-    mass is DROPPED, the deterministic SQL-mirrorable convention
-    (variable degree is partitioned-mode only).
+    mass is DROPPED, the deterministic SQL-mirrorable convention.
 
     ``seed_mod``: personalized PageRank — teleport mass goes ONLY to
     seed nodes (id % seed_mod == 0) instead of every node; r0 is
@@ -125,30 +112,12 @@ def pagerank(
     crawl-refresh recomputes in few iterations from yesterday's
     ranks (the incremental-dedup steady-state pattern for graphs;
     running k more iterations on a saved state is bit-identical to
-    having run them in one job — pytest-checked). Partitioned mode
-    only.
+    having run them in one job — pytest-checked).
 
     Returns Dataset[id: int64, pr: int64]. Bit-identical across
-    modes, partitionings and batch shapes (pytest-checked).
+    partitionings and batch shapes (pytest-checked).
     """
-    from engine.shuffle import grouped_count_sums
-
-    if mode == "broadcast":
-        if out_degree is None or seed_mod is not None:
-            raise ValueError("variable degree / seeds: use mode='partitioned'")
-        return _pagerank_broadcast(
-            edges, num_nodes, iters, out_degree, scale, damp_pct, num_partitions
-        )
-    if mode == "actors":
-        if out_degree is None or seed_mod is not None:
-            raise ValueError("variable degree / seeds: use mode='partitioned'")
-        return _pagerank_actors(
-            edges, num_nodes, iters, out_degree, scale, damp_pct, num_partitions
-        )
-    if mode != "partitioned":
-        raise ValueError(f"unknown mode: {mode}")
-
-    from engine.shuffle import keyed_partition_map
+    from engine.shuffle import grouped_count_sums, keyed_partition_map
 
     import pandas as pd
 
@@ -253,60 +222,6 @@ def pagerank(
     return ranks.map_batches(
         lambda b: b.rename_columns(["id", "pr"]), batch_format="pyarrow"
     )
-
-
-def _pagerank_broadcast(
-    edges: Dataset,
-    num_nodes: int,
-    iters: int,
-    out_degree: int,
-    scale: int,
-    damp_pct: int,
-    num_partitions: int,
-) -> Dataset:
-    """Dense-vector variant: the rank vector (8 B/node) is broadcast
-    once per iteration via ray.put; edges stream through a lookup +
-    combiner dst-sum. The per-iteration driver materialization is
-    node-scale (the vector itself), never edge-scale."""
-    import ray
-
-    from engine.shuffle import grouped_count_sums
-
-    d = np.int64(out_degree)
-    ranks = np.full(num_nodes, scale, np.int64)
-
-    for _ in range(iters):
-        ref = ray.put(ranks)
-
-        def contrib(b: pa.Table, ref=ref) -> pa.Table:
-            r = ray.get(ref)
-            src = b["src"].to_numpy(zero_copy_only=False)
-            dst = b["dst"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "dst": np.concatenate([dst, src]),
-                    "c": np.concatenate(
-                        [r[src] // d, np.zeros(len(src), np.int64)]
-                    ),
-                }
-            )
-
-        sums = grouped_count_sums(
-            edges.map_batches(contrib, batch_format="pyarrow"),
-            "dst",
-            sum_cols=("c",),
-            num_partitions=num_partitions,
-        ).to_pandas()
-        new = np.empty(num_nodes, np.int64)
-        new[sums["dst"].to_numpy()] = _new_ranks(
-            sums["sum_c"].to_numpy().astype(np.int64), scale, damp_pct
-        )
-        ranks = new
-
-    ids = np.arange(num_nodes, dtype=np.int64)
-    import ray.data as rd
-
-    return rd.from_arrow(pa.table({"id": ids, "pr": ranks}))
 
 
 def triangle_counts(
@@ -491,98 +406,4 @@ def component_labels(nodes: Dataset, edges: Dataset) -> Dataset:
             ["id", "group_id"]
         ),
         batch_format="pyarrow",
-    )
-
-
-class _EdgePartition:
-    """Actor holding one partition of the edge table for the
-    pinned-edge PageRank mode — the 'pinned iterative state' case the
-    Dataset API cannot express: map_batches re-ships or re-reads
-    stage inputs every iteration, while an actor loads its partition
-    ONCE and serves every iteration from memory."""
-
-    def __init__(self, block_ref, out_degree: int):
-        import ray
-
-        t = block_ref
-        if not isinstance(t, pa.Table):
-            t = ray.get(t)
-        src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(src, kind="stable")
-        self.src = src[order]
-        self.dst = dst[order]
-        self.d = np.int64(out_degree)
-        # distinct srcs, reported once — the driver then ships only
-        # this slice of the rank vector each iteration.
-        self.srcs = np.unique(self.src)
-
-    def get_srcs(self) -> np.ndarray:
-        return self.srcs
-
-    def contrib(self, ranks_for_srcs: np.ndarray):
-        """ranks aligned with self.srcs -> pre-aggregated (dst, sum)
-        partials for this partition's edges."""
-        import pandas as pd
-
-        pos = np.searchsorted(self.srcs, self.src)
-        c = ranks_for_srcs[pos] // self.d
-        g = pd.DataFrame({"dst": self.dst, "c": c}).groupby("dst", sort=True)[
-            "c"
-        ].sum()
-        return g.index.to_numpy(), g.to_numpy()
-
-
-def _pagerank_actors(
-    edges: Dataset,
-    num_nodes: int,
-    iters: int,
-    out_degree: int,
-    scale: int,
-    damp_pct: int,
-    num_actors: int,
-) -> Dataset:
-    """Pinned-edge actor mode: the edge table is split ONCE across P
-    actors (each sorts its shard by src and reports its distinct src
-    set); per iteration only rank SLICES travel driver -> actor and
-    per-shard pre-aggregated (dst, sum) partials travel back — the
-    edges themselves never move or re-read after init, unlike both
-    Dataset modes. The driver-side state is the node-scale rank
-    vector (the broadcast mode's bound; a deployment beyond driver
-    memory shards the combine into a second actor layer — documented,
-    unnecessary at any test scale)."""
-    import ray
-
-    # Split by blocks (edges are derivation-ordered; any split works —
-    # the actor sorts its shard and correctness needs no co-location).
-    blocks = edges.materialize().to_arrow_refs()
-    take = max(1, len(blocks) // num_actors)
-    groups = [blocks[i : i + take] for i in range(0, len(blocks), take)]
-
-    @ray.remote
-    class Shard(_EdgePartition):
-        def __init__(self, refs, out_degree):
-            import pyarrow as _pa
-
-            tables = [r if isinstance(r, _pa.Table) else ray.get(r) for r in refs]
-            super().__init__(_pa.concat_tables(tables), out_degree)
-
-    actors = [Shard.remote(g, out_degree) for g in groups]
-    actor_srcs = ray.get([a.get_srcs.remote() for a in actors])
-
-    ranks = np.full(num_nodes, scale, np.int64)
-    for _ in range(iters):
-        futs = [
-            a.contrib.remote(ranks[srcs])
-            for a, srcs in zip(actors, actor_srcs)
-        ]
-        s = np.zeros(num_nodes, np.int64)
-        for ids, sums in ray.get(futs):
-            s[ids] += sums
-        ranks = _new_ranks(s, scale, damp_pct)
-
-    import ray.data as rd
-
-    return rd.from_arrow(
-        pa.table({"id": np.arange(num_nodes, dtype=np.int64), "pr": ranks})
     )

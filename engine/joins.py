@@ -230,6 +230,12 @@ def hash_join(
 
     l_schema = left.schema()
     r_schema = right.schema()
+    for side, s in (("left", l_schema), ("right", r_schema)):
+        if s is None:
+            raise ValueError(
+                f"hash_join: the {side} side has no schema (an empty Dataset "
+                "with no blocks); give it typed columns first"
+            )
     l_cols = list(l_schema.names)
     r_cols = list(r_schema.names)
     overlap = (set(l_cols) & set(r_cols)) - {key}

@@ -21,7 +21,7 @@ Scale shape: ONE corpus-scale combiner rollup (grouped_count_sums —
 partials per block, coarse-key merge) at the finest level; every
 coarsening step runs on the REDUCED tile table (<= 4^l rows), never
 on the corpus again. The coarsening loop is size-adaptive (the BPE
-X52 precedent): a finest-level table under ``local_max`` rows
+X52 precedent): a finest-level table of at most ``LOCAL_MAX_TILES`` rows
 collects ONCE to the driver and iterates with numpy at C speed
 (9 levels of Ray stage dispatch cost more than the whole reduced
 computation); larger tables run the identical per-level
@@ -36,6 +36,11 @@ import ray.data as rd
 from ray.data import Dataset
 
 FINEST = 8  # gate pyramid: levels 0..8 over 20-bit synthetic coords
+
+#: Finest-level tile tables at or below this row count coarsen on the
+#: driver; larger ones run the distributed per-level merge. Read at
+#: call time, so tests can pin it.
+LOCAL_MAX_TILES = 2_000_000
 
 
 def _levels_local(
@@ -80,7 +85,6 @@ def tile_pyramid(
     x_col: str = "x",
     y_col: str = "y",
     w_col: str = "w",
-    local_max: int = 2_000_000,
     num_partitions: int = 32,
 ) -> Dataset:
     """Non-empty (level, tx, ty, cnt, wsum) tiles for levels
@@ -115,7 +119,7 @@ def tile_pyramid(
     )
 
     n_base = base.count()
-    if n_base <= local_max:
+    if n_base <= LOCAL_MAX_TILES:
         t = base.to_arrow_refs()
         import ray
 
@@ -189,9 +193,7 @@ def tile_pyramid(
     return levels[0].union(*levels[1:])
 
 
-def tile_pyramid_events(
-    ds_events: Dataset, finest: int = FINEST, **kw
-) -> Dataset:
+def tile_pyramid_events(ds_events: Dataset, finest: int = FINEST) -> Dataset:
     """Gate pipeline: deterministic 20-bit grid coords from event ids
     (the zorder X59 synthetic-grid constants), floor-cent integer
     weights, full tile pyramid levels 0..finest. Columns
@@ -208,7 +210,7 @@ def tile_pyramid_events(
         return pa.table({"x": pa.array(ix), "y": pa.array(iy), "w": pa.array(w)})
 
     pts = ds_events.map_batches(coords, batch_format="pyarrow")
-    return tile_pyramid(pts, GRID_BITS, finest, **kw)
+    return tile_pyramid(pts, GRID_BITS, finest)
 
 
 def sql_tile_pyramid_events(bits: int = 20, finest: int = FINEST) -> str:

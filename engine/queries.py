@@ -2286,16 +2286,26 @@ def q_curation_pipeline(sf_dir: str):
     dedup_documents, minhash_dedup_full, hash_sample) — the
     composition itself is pytest-verified stage-by-stage on planted
     defect classes (tests/test_curation.py)."""
+    import shutil
+    import tempfile
+
     from engine.curation import curate
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"], rows_per_block=256)
-    out, report = curate(
-        ds,
-        langs=("en", "de", "es", "fr", "it", "sl", "und"),
-        min_tokens=3,
-        min_alpha_milli=200,
-    )
-    return out
+    cache = tempfile.mkdtemp(prefix="curate-")
+    try:
+        out, report = curate(
+            ds,
+            langs=("en", "de", "es", "fr", "it", "sl", "und"),
+            min_tokens=3,
+            min_alpha_milli=200,
+            cache_dir=cache,
+        )
+        # the result reads lazily from the cache: hold it in the object
+        # store so the cache can go
+        return out.materialize()
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
 
 
 REGISTRY.update({"curation_pipeline": (q_curation_pipeline, None)})
@@ -2593,10 +2603,9 @@ def q_pagerank_docs(sf_dir: str) -> Dataset:
     (X33 — iterative graph analytics; see engine/graph.py for the
     100 TB design). Node ids are the dense doc_ids; edges are the
     4-regular-out hash-derived multigraph; 5 integer-exact damped
-    iterations. Runs the scale-honest PARTITIONED mode (ranks as a
-    Dataset, one bucketed hash-join + one combiner dst-sum per
-    iteration — only (id, int64) pairs ever shuffle); the
-    dense-vector broadcast mode is pytest-checked bit-identical."""
+    iterations (ranks as a Dataset, one co-partition attach + one
+    combiner dst-sum per iteration — only (id, int64) pairs ever
+    shuffle)."""
     from engine.graph import derive_link_edges, pagerank
 
     n = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
@@ -2604,7 +2613,7 @@ def q_pagerank_docs(sf_dir: str) -> Dataset:
         lambda b: b.rename_columns(["id"]), batch_format="pyarrow"
     )
     edges = derive_link_edges(nodes, n, id_col="id")
-    pr = pagerank(nodes, edges, n, mode="partitioned")
+    pr = pagerank(nodes, edges)
     return pr.map_batches(
         lambda b: b.rename_columns(["doc_id", "pr"]), batch_format="pyarrow"
     )
@@ -3092,9 +3101,7 @@ def q_pagerank_personalized(sf_dir: str) -> Dataset:
         return pa.table({"src": src, "dst": (src * a0 + b0) % np.int64(n)})
 
     edges = nodes.map_batches(one_arm, batch_format="pyarrow")
-    pr = pagerank(
-        nodes, edges, n, out_degree=None, seed_mod=17, mode="partitioned"
-    )
+    pr = pagerank(nodes, edges, out_degree=None, seed_mod=17)
     return pr.map_batches(
         lambda b: b.rename_columns(["doc_id", "pr"]), batch_format="pyarrow"
     )

@@ -182,28 +182,24 @@ def robots_filter(
     host_col: str = "host",
     path_col: str = "path",
     num_partitions: int = 16,
-    max_broadcast_rules: int = 4_000_000,
-    mode: str = "auto",
 ) -> Dataset:
     """Per-URL crawl-policy verdict: Dataset[url_id, host, path,
     allowed(bool), matched_pl(int64; -1 = no applicable rule)].
 
-    ``mode='broadcast'`` ships the parsed rules once (ray.put of a
-    host-sorted Arrow table; per batch: searchsorted host runs ->
-    exploded candidate pairs -> one vectorized pairwise-prefix test).
-    ``mode='partition'`` co-partitions urls ∪ rules on host
-    (keyed_partition_map) — the 100 TB path when the rules table
-    outgrows a broadcast (100M hosts x dozens of rules). ``'auto'``
-    counts the rules and picks."""
+    The route is the ``engine.joins`` rule on the parsed rule count:
+    at most ``joins.BROADCAST_MAX_KEYS`` rules -> broadcast (one
+    ray.put of a host-sorted Arrow table; per batch: searchsorted
+    host runs -> exploded candidate pairs -> one vectorized
+    pairwise-prefix test); beyond it urls ∪ rules co-partition on
+    host (keyed_partition_map) — the 100 TB path when the rules table
+    outgrows a broadcast (100M hosts x dozens of rules). Both routes
+    give the same rows (tests/test_swap_paths.py route parity)."""
     import ray
 
+    from engine import joins
     from engine.shuffle import keyed_partition_map
 
-    rules = parse_robots(robots, agent=agent)
-
-    if mode == "auto":
-        rules = rules.materialize()  # rule-scale (hosts x rules/host)
-        mode = "broadcast" if rules.count() <= max_broadcast_rules else "partition"
+    rules = parse_robots(robots, agent=agent).materialize()  # rule-scale
 
     out_schema = pa.schema(
         [
@@ -215,7 +211,7 @@ def robots_filter(
         ]
     )
 
-    if mode == "broadcast":
+    if rules.count() <= joins.BROADCAST_MAX_KEYS:
         batches = list(rules.iter_batches(batch_size=None, batch_format="pyarrow"))
         tbl = (
             pa.concat_tables(batches, promote_options="default").select(RULES_SCHEMA.names)

@@ -251,3 +251,51 @@ def test_asof_string_key_falls_back_to_pandas_probe(ray_session, direction):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
+
+
+def test_asof_null_keys_same_on_both_routes(ray_session):
+    """Null integer keys and null ``on`` values raise on the broadcast
+    route and on the shuffle route alike (the broadcast probe once
+    read them as garbage int64s and matched a null-``on`` right row);
+    null string keys match nothing on either route (merge_asof once
+    paired them with null right keys)."""
+    import ray
+    from engine.asof import asof_join
+
+    left = pa.table(
+        {"lid": pa.array([0, 1, 2], pa.int64()), "k": pa.array([1, 1, 2], pa.int64()),
+         "t": pa.array([5, 6, 7], pa.int64())}
+    )
+    right = pa.table(
+        {"k": pa.array([1, 2], pa.int64()), "t": pa.array([4, 1], pa.int64()),
+         "rv": pa.array([10, 20], pa.int64())}
+    )
+
+    def with_null(t: pa.Table, col: str) -> pa.Table:
+        i = t.schema.get_field_index(col)
+        vals = t[col].to_pylist()
+        return t.set_column(i, col, pa.array([None] + vals[1:], t.schema.field(col).type))
+
+    def run(lt, rt, threshold):
+        return asof_join(
+            ray.data.from_arrow(lt), ray.data.from_arrow(rt), key="k", on="t",
+            broadcast_threshold=threshold,
+        ).to_pandas().sort_values("lid").reset_index(drop=True)
+
+    for lt, rt, col in (
+        (with_null(left, "k"), right, "'k'"),
+        (with_null(left, "t"), right, "'t'"),
+        (left, with_null(right, "k"), "'k'"),
+        (left, with_null(right, "t"), "'t_r'"),
+    ):
+        for threshold in (0, 65_536):
+            # raised on the driver, or in a task (Ray then wraps it)
+            with pytest.raises(Exception, match=f"null value.*{col}") as err:
+                run(lt, rt, threshold)
+            assert isinstance(err.value, ValueError) or "ValueError: asof_join" in str(err.value)
+
+    str_left = with_null(left.set_column(1, "k", left["k"].cast(pa.string())), "k")
+    str_right = with_null(right.set_column(0, "k", right["k"].cast(pa.string())), "k")
+    shuffled, broadcast = (run(str_left, str_right, th) for th in (0, 65_536))
+    pd.testing.assert_frame_equal(shuffled, broadcast, check_dtype=False)
+    assert shuffled["rv"].isna().tolist() == [True, True, False]

@@ -73,13 +73,14 @@ def test_bpe_matches_reference_on_adversarial_corpus(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_bpe_local_and_distributed_paths_equal(ray_session):
-    from engine.bpe import bpe_merges
+def test_bpe_local_and_distributed_paths_equal(ray_session, monkeypatch):
+    import engine.bpe as bpe
 
     texts = ADVERSARIAL * 4
     ds = rd.from_arrow(pa.table({"text": texts})).repartition(5)
-    loc = bpe_merges(ds, n_merges=5, mode="local").to_pandas()
-    dist = bpe_merges(ds, n_merges=5, mode="distributed").to_pandas()
+    loc = bpe.bpe_merges(ds, n_merges=5).to_pandas()
+    monkeypatch.setattr(bpe, "LOCAL_VOCAB_LIMIT", 0)  # forces the distributed loop
+    dist = bpe.bpe_merges(ds, n_merges=5).to_pandas()
     pd.testing.assert_frame_equal(loc, dist)
     want = pd.DataFrame(
         ref_bpe(texts, 5), columns=["step", "lhs", "rhs", "merged", "pair_cnt"]

@@ -1,6 +1,7 @@
 """X45 CDC upsert / snapshot-merge tests: brute pandas oracle on a
-randomized base+changelog (both execution paths), the documented tie
-semantics, block-layout invariance, and DuckDB gate parity."""
+randomized base+changelog (both routes, forced by pinning
+``engine.joins.BROADCAST_MAX_KEYS``), the documented tie semantics,
+block-layout invariance, and DuckDB gate parity."""
 
 import duckdb
 import numpy as np
@@ -47,30 +48,36 @@ def _mk(n=4000, m=1100, seed=7):
     return base, cl
 
 
-@pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
-def test_snapshot_merge_matches_brute_oracle(ray_session, mode):
+# BROADCAST_MAX_KEYS pins that force each route
+_ROUTES = {"broadcast": 1 << 40, "shuffle": 0}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_snapshot_merge_matches_brute_oracle(ray_session, route, monkeypatch):
     import ray.data as rd
 
+    import engine.joins as joins
     from engine.cdc import snapshot_merge
 
+    monkeypatch.setattr(joins, "BROADCAST_MAX_KEYS", _ROUTES[route])
     base, cl = _mk()
     exp = _brute(base, cl)
     got = snapshot_merge(
         rd.from_pandas(base).repartition(7),
         rd.from_pandas(cl).repartition(5),
         key="k",
-        mode=mode,
         num_partitions=8,
     ).to_pandas()
     got = got[exp.columns].sort_values("k").reset_index(drop=True)
     assert got.equals(exp)
 
 
-def test_tie_semantics(ray_session):
+def test_tie_semantics(ray_session, monkeypatch):
     """seq tie across sources -> changelog wins; full tie within the
     changelog -> upsert beats delete; base strictly greater -> base."""
     import ray.data as rd
 
+    import engine.joins as joins
     from engine.cdc import snapshot_merge
 
     base = pd.DataFrame(
@@ -84,11 +91,10 @@ def test_tie_semantics(ray_session):
             "op": ["u", "d", "u", "d", "u"],
         }
     )
-    for mode in ["broadcast", "shuffle"]:
+    for route, max_keys in _ROUTES.items():
+        monkeypatch.setattr(joins, "BROADCAST_MAX_KEYS", max_keys)
         got = (
-            snapshot_merge(
-                rd.from_pandas(base), rd.from_pandas(cl), key="k", mode=mode
-            )
+            snapshot_merge(rd.from_pandas(base), rd.from_pandas(cl), key="k")
             .to_pandas()
             .sort_values("k")
             .reset_index(drop=True)
@@ -98,7 +104,7 @@ def test_tie_semantics(ray_session):
         #      winner between the two equal (seq,src,op='u') rows is
         #      the later-sorted one; the brute rule is the contract:
         exp = _brute(base, cl)
-        assert got[exp.columns].equals(exp), mode
+        assert got[exp.columns].equals(exp), route
         assert 11 in got["val"].values  # cl won the cross-source tie
         assert 30 in got["val"].values  # base beat the older delete
         assert 99 in got["val"].values  # brand-new key inserted
@@ -116,7 +122,6 @@ def test_block_layout_invariance(ray_session):
             rd.from_pandas(base).repartition(bp),
             rd.from_pandas(cl).repartition(cp),
             key="k",
-            mode="broadcast",
         ).to_pandas()
         outs.append(got.sort_values("k").reset_index(drop=True))
     assert outs[0].equals(outs[1])

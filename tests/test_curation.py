@@ -57,6 +57,7 @@ def test_curate_drops_each_defect_class(tmp_path):
         contamination_k=8,
         val_permille=500,
         out_dir=str(tmp_path / "curated"),
+        cache_dir=str(tmp_path / "cache"),
     )
     df = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert list(df.doc_id) == [0, 1, 2]  # only the three good docs survive
@@ -81,13 +82,16 @@ def test_curate_drops_each_defect_class(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_curate_is_deterministic():
+def test_curate_is_deterministic(tmp_path):
     ds = rd.from_arrow(_corpus())
-    out1, rep1 = curate(ds, contamination_queries=(BENCH,), val_permille=500)
+    out1, rep1 = curate(
+        ds, contamination_queries=(BENCH,), val_permille=500, cache_dir=str(tmp_path / "a")
+    )
     out2, rep2 = curate(
         rd.from_arrow(_corpus()).repartition(4),
         contamination_queries=(BENCH,),
         val_permille=500,
+        cache_dir=str(tmp_path / "b"),
     )
     a = out1.to_pandas().sort_values("doc_id").reset_index(drop=True)
     b = out2.to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -96,7 +100,7 @@ def test_curate_is_deterministic():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_curate_pii_and_line_dedup_stages():
+def test_curate_pii_and_line_dedup_stages(tmp_path):
     """Opt-in stages: PII scrub runs BEFORE digesting (two docs that
     differ only in their email merge under exact dedup), the C4 line
     cut removes corpus-duplicate lines, and a doc emptied by the cut
@@ -125,6 +129,7 @@ def test_curate_pii_and_line_dedup_stages():
         scrub_pii=True,
         line_dedup=True,
         val_permille=0,
+        cache_dir=str(tmp_path / "cache"),
     )
     df = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert list(df.doc_id) == [0, 2, 3]

@@ -132,6 +132,21 @@ def test_duplicate_coordinates_are_mutual_neighbors():
     assert out[out["id"] == 1000]["cluster"].iloc[0] == -1
 
 
+@pytest.mark.parametrize(
+    "x, min_pts, want",
+    [
+        ([0, 1000], 2, [-1, -1]),  # all noise: no core point at all
+        ([0, 1, 2], 3, [1, 1, 1]),  # one core, no core-core pair
+    ],
+    ids=["all_noise", "lone_core"],
+)
+def test_no_core_core_pair(x, min_pts, want):
+    # The core-label side of the border join is then empty; the
+    # answer still comes back (once crashed in hash_join).
+    out = _check(np.arange(len(x)), x, np.zeros(len(x)), eps=1, min_pts=min_pts)
+    assert list(out["cluster"]) == want
+
+
 def test_min_pts_one_every_point_own_cluster_unless_adjacent():
     ids = np.array([2, 4, 9], dtype=np.int64)
     x = np.array([0, 1000, 1001], dtype=np.int64)

@@ -1,15 +1,14 @@
 """Iterative graph analytics (engine/graph.py): integer PageRank.
 
 Three independent checks: a scalar numpy fixed-point oracle (no Ray,
-no SQL), bit-identity between the partitioned and broadcast modes
-(and across repartitionings), and the driver-gate DuckDB mirror.
+no SQL), bit-identity across repartitionings, and the driver-gate
+DuckDB mirror.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -32,8 +31,7 @@ def _brute_pagerank(n, iters=5, out_degree=4, scale=10**12, damp_pct=85):
     return r
 
 
-@pytest.mark.parametrize("mode", ["partitioned", "broadcast", "actors"])
-def test_pagerank_matches_scalar_oracle(ray_session, mode):
+def test_pagerank_matches_scalar_oracle(ray_session):
     import ray.data as rd
 
     from engine.graph import derive_link_edges, pagerank
@@ -44,7 +42,7 @@ def test_pagerank_matches_scalar_oracle(ray_session, mode):
         ).repartition(7)
         edges = derive_link_edges(nodes, n)
         got = (
-            pagerank(nodes, edges, n, mode=mode, num_partitions=4)
+            pagerank(nodes, edges, num_partitions=4)
             .to_pandas()
             .sort_values("id")
             .reset_index(drop=True)
@@ -65,25 +63,20 @@ def test_pagerank_matches_scalar_oracle(ray_session, mode):
             assert got.pr.nunique() > 1
 
 
-def test_pagerank_modes_and_partitionings_bit_identical(ray_session):
+def test_pagerank_partitionings_bit_identical(ray_session):
     import ray.data as rd
 
     from engine.graph import derive_link_edges, pagerank
 
     n = 500
     outs = []
-    for parts, mode in [
-        (3, "partitioned"),
-        (11, "partitioned"),
-        (5, "broadcast"),
-        (7, "actors"),
-    ]:
+    for parts, num_partitions in [(3, 4), (11, 4), (5, 7)]:
         nodes = rd.from_arrow(
             pa.table({"id": np.arange(n, dtype=np.int64)})
         ).repartition(parts)
         edges = derive_link_edges(nodes, n)
         outs.append(
-            pagerank(nodes, edges, n, mode=mode, num_partitions=4)
+            pagerank(nodes, edges, num_partitions=num_partitions)
             .to_pandas()
             .sort_values("id")
             .pr.to_numpy()
@@ -198,18 +191,18 @@ def test_pagerank_warm_start_resumes_bit_identically(ray_session, tmp_path):
     nodes = rd.from_arrow(pa.table({"id": np.arange(n, dtype=np.int64)})).repartition(5)
     edges = derive_link_edges(nodes, n)
     straight = (
-        pagerank(nodes, edges, n, iters=5, num_partitions=4)
+        pagerank(nodes, edges, iters=5, num_partitions=4)
         .to_pandas()
         .sort_values("id")
         .pr.to_numpy()
     )
-    first = pagerank(nodes, edges, n, iters=3, num_partitions=4)
+    first = pagerank(nodes, edges, iters=3, num_partitions=4)
     out = str(tmp_path / "ranks")
     first.write_parquet(out)
     persisted = rd.read_parquet(out)
     resumed = (
         pagerank(
-            nodes, edges, n, iters=2, num_partitions=4, init_ranks=persisted
+            nodes, edges, iters=2, num_partitions=4, init_ranks=persisted
         )
         .to_pandas()
         .sort_values("id")
@@ -246,7 +239,7 @@ def test_graph_ops_on_random_multigraphs(ray_session):
 
         # --- variable-degree PageRank vs scalar fixed point ---
         got = (
-            pagerank(nodes, edges, n, iters=4, out_degree=None, num_partitions=4)
+            pagerank(nodes, edges, iters=4, out_degree=None, num_partitions=4)
             .to_pandas()
             .sort_values("id")
             .pr.to_numpy()

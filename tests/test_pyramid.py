@@ -67,10 +67,13 @@ def test_pyramid_local_path_vs_brute(synth_ds):
     pd.testing.assert_frame_equal(_norm(out), _brute(x, y, w, FINEST))
 
 
-def test_pyramid_distributed_path_equals_local(synth_ds):
+def test_pyramid_distributed_path_equals_local(synth_ds, monkeypatch):
+    import engine.pyramid as pyramid
+
     ds, (x, y, w) = synth_ds
-    # local_max=0 forces the per-level distributed combiner merge
-    out = tile_pyramid(ds, BITS, FINEST, local_max=0, num_partitions=5).to_pandas()
+    # 0 forces the per-level distributed combiner merge
+    monkeypatch.setattr(pyramid, "LOCAL_MAX_TILES", 0)
+    out = tile_pyramid(ds, BITS, FINEST, num_partitions=5).to_pandas()
     pd.testing.assert_frame_equal(_norm(out), _brute(x, y, w, FINEST))
 
 

@@ -1,6 +1,7 @@
 """robots.txt parse + filter (X51) vs an independent line-by-line
-scalar reference implementation, plus edge semantics and path parity
-(broadcast vs host-co-partition)."""
+scalar reference implementation, plus edge semantics. Broadcast vs
+host-co-partition parity is a site of
+tests/test_swap_paths.py::test_lookup_route_parity."""
 
 from __future__ import annotations
 
@@ -100,28 +101,6 @@ def test_robots_filter_matches_scalar(ray_session):
         )
     # the corpus actually denies something and exercises ties
     assert 0 < int((~res["allowed"]).sum()) < len(res)
-
-
-def test_partition_mode_equals_broadcast(ray_session):
-    rt = make_robots_table(50)
-    ut = make_crawl_urls_table(300, 50)
-    a = (
-        robots_filter(rd.from_arrow(ut).repartition(3), rd.from_arrow(rt), mode="broadcast")
-        .to_pandas()
-        .sort_values("url_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        robots_filter(
-            rd.from_arrow(ut).repartition(3), rd.from_arrow(rt),
-            mode="partition", num_partitions=5,
-        )
-        .to_pandas()
-        .sort_values("url_id")
-        .reset_index(drop=True)
-    )
-    for c in a.columns:
-        assert (a[c].to_numpy() == b[c].to_numpy()).all(), c
 
 
 def test_robots_edge_semantics(ray_session):

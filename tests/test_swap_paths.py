@@ -1,24 +1,29 @@
-"""Beyond-broadcast swap-path parity.
+"""Route parity: every size-adaptive operator gives the same answer
+on its broadcast route and on its partition route.
 
-Every guarded broadcast in the engine has a co-partitioned /
-hash-join swap for corpora whose lookup state outgrows a ray.put
-broadcast. These tests force each swap and assert bit-identical
-results against the broadcast leg.
+There is one route rule: an operator broadcasts its lookup state when
+that state has at most ``engine.joins.BROADCAST_MAX_KEYS`` keys (or
+rows), and co-partitions otherwise. The operators below take no
+``mode=`` switch or cap of their own, so ``test_lookup_route_parity``
+forces a route by pinning the constant to a large value (broadcast)
+or 0 (partition) and checks that the two outputs are Arrow-equal,
+types included. Its sites:
 
-- ``test_lookup_route_parity``: every ``engine.joins.lookup`` call
-  site (flag_join, candidate_docs, crawl_ingest, web_refresh,
-  canonical_url_dedup, cooc_lift) and lookup itself on null keys and
-  an empty build side, with ``BROADCAST_MAX_KEYS`` pinned to a large
-  value (broadcast) or 0 (hash join).
-- Operators that fuse their probe into a custom payload keep their
-  own ``mode=`` switch: line_dedup, exact_substring_dedup,
-  jaccard_similarity_join_prefix (shingle-df map), bpe_token_counts.
+- ``engine.joins.lookup`` itself (null keys on both sides, an empty
+  build side) and its callers: flag_join, candidate_docs,
+  crawl_ingest, web_refresh, canonical_url_dedup, cooc_lift;
+- the operators that fuse the probe into their own payload:
+  line_dedup, exact_substring_dedup, jaccard_similarity_join_prefix
+  (shingle-df map), bpe_token_counts (with driver-local and with
+  distributed training, pinning ``bpe.LOCAL_VOCAB_LIMIT``),
+  robots_filter (host-prefix rules), snapshot_merge (changelog
+  winners), minhash_dedup_verdict (label join, with and without
+  duplicates) and incremental_minhash_dedup's distributed verify arm.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -32,13 +37,6 @@ from engine.dedupe import (
     line_dedup,
 )
 from engine.weburl import canonical_url_dedup, make_messy_urls_table
-
-
-def _eq(a, b, keys):
-    da = a.to_pandas().sort_values(keys).reset_index(drop=True)
-    db = b.to_pandas().sort_values(keys).reset_index(drop=True)
-    db = db[da.columns]
-    pd.testing.assert_frame_equal(da, db)
 
 
 @pytest.fixture(scope="module")
@@ -77,71 +75,6 @@ def token_docs_ds(ray_session):
     return rd.from_arrow(t).repartition(4).materialize()
 
 
-def test_line_dedup_swap(docs_ds):
-    bc = line_dedup(docs_ds, mode="broadcast")
-    for part in (
-        line_dedup(docs_ds, mode="partition", num_partitions=5),
-        line_dedup(docs_ds, max_broadcast_drops=1, num_partitions=5),
-    ):
-        _eq(bc, part, ["doc_id"])
-
-
-def test_substr_dedup_swap(token_docs_ds):
-    bc = exact_substring_dedup(token_docs_ds, L=8, mode="broadcast",
-                               num_partitions=4)
-    for part in (
-        exact_substring_dedup(token_docs_ds, L=8, mode="partition",
-                              num_partitions=4),
-        exact_substring_dedup(token_docs_ds, L=8, max_broadcast=1,
-                              num_partitions=4),
-    ):
-        _eq(bc, part, ["doc_id"])
-
-
-def test_jaccard_prefix_swap(token_docs_ds):
-    bc = jaccard_similarity_join_prefix(token_docs_ds, num_partitions=8,
-                                        mode="broadcast")
-    for part in (
-        jaccard_similarity_join_prefix(token_docs_ds, num_partitions=8,
-                                       mode="partition"),
-        jaccard_similarity_join_prefix(token_docs_ds, num_partitions=8,
-                                       max_broadcast_df=1),
-    ):
-        _eq(bc, part, ["id_a", "id_b"])
-
-
-def test_bpe_swap_local_trained(token_docs_ds):
-    bc = bpe_token_counts(token_docs_ds, n_merges=4, mode="broadcast")
-    for part in (
-        bpe_token_counts(token_docs_ds, n_merges=4, mode="partition",
-                         num_partitions=4),
-        bpe_token_counts(token_docs_ds, n_merges=4, broadcast_limit=1,
-                         num_partitions=4),
-    ):
-        _eq(bc, part, ["doc_id"])
-
-
-def test_bpe_swap_distributed_trained(token_docs_ds, monkeypatch):
-    import engine.bpe as bpe_mod
-
-    monkeypatch.setattr(bpe_mod, "LOCAL_VOCAB_LIMIT", 0)
-    bc = bpe_token_counts(token_docs_ds, n_merges=4, mode="broadcast")
-    part = bpe_token_counts(token_docs_ds, n_merges=4, mode="partition",
-                            num_partitions=4)
-    _eq(bc, part, ["doc_id"])
-
-
-def test_bad_mode_raises(docs_ds):
-    for fn, kw in (
-        (line_dedup, {}),
-        (exact_substring_dedup, {}),
-        (bpe_token_counts, {}),
-        (jaccard_similarity_join_prefix, {}),
-    ):
-        with pytest.raises(ValueError, match="unknown mode"):
-            fn(docs_ds, mode="bogus", **kw).materialize()
-
-
 # ------------------------------------------------- engine.joins.lookup
 
 _PROBE = pa.table(
@@ -177,6 +110,10 @@ _EXPECTED = {
     "left_empty": {"v": [None] * 9},
     "flag_join": {"hit": [False, True, False, False, False, True, False, False, True]},
     "candidate_docs": {"doc_id": [3, 7, 9, 12]},
+    "minhash_dedup_verdict": {"keep": [i not in (60, 61) for i in range(62)]},
+    "minhash_dedup_verdict_no_dups": {"keep": [True] * 60},
+    # the first ten are copies of indexed docs, the rest are fresh
+    "incremental_minhash_dedup": {"keep": [False] * 10 + [True] * 10},
 }
 
 
@@ -252,6 +189,102 @@ def _cooc_lift_empty(request):
     return out, _COOC_KEYS
 
 
+# --------------------------------------- operators with their own payload
+
+
+def _line_dedup(request):
+    return line_dedup(request.getfixturevalue("docs_ds"), num_partitions=5), ["doc_id"]
+
+
+def _substr_dedup(request):
+    ds = request.getfixturevalue("token_docs_ds")
+    return exact_substring_dedup(ds, L=8, num_partitions=4), ["doc_id"]
+
+
+def _jaccard_prefix(request):
+    ds = request.getfixturevalue("token_docs_ds")
+    return jaccard_similarity_join_prefix(ds, num_partitions=8), ["id_a", "id_b"]
+
+
+def _bpe_token_counts(local_vocab_limit: int):
+    def run(request):
+        import engine.bpe as bpe
+
+        # 0 trains with the distributed loop, a huge value on the driver
+        request.getfixturevalue("monkeypatch").setattr(bpe, "LOCAL_VOCAB_LIMIT", local_vocab_limit)
+        ds = request.getfixturevalue("token_docs_ds")
+        return bpe_token_counts(ds, n_merges=4, num_partitions=4), ["doc_id"]
+
+    return run
+
+
+def _robots_filter(request):
+    from engine.robots import make_crawl_urls_table, make_robots_table, robots_filter
+
+    urls = rd.from_arrow(make_crawl_urls_table(300, 50)).repartition(3)
+    return robots_filter(urls, rd.from_arrow(make_robots_table(50)), num_partitions=5), ["url_id"]
+
+
+def _snapshot_merge(request):
+    from engine.cdc import snapshot_merge
+
+    rng = np.random.default_rng(5)
+    n, m = 400, 150
+    base = pa.table(
+        {"k": np.arange(n, dtype=np.int64), "seq": np.arange(n, dtype=np.int64) % 5,
+         "val": rng.integers(0, 1000, n), "tag": [f"b{i % 9}" for i in range(n)]}
+    )
+    changelog = pa.table(
+        {"k": rng.integers(0, n + 50, m), "seq": rng.integers(0, 9, m),
+         "val": rng.integers(0, 1000, m), "tag": [f"c{i % 9}" for i in range(m)],
+         "op": np.where(rng.random(m) < 0.3, "d", "u")}
+    )
+    out = snapshot_merge(
+        rd.from_arrow(base).repartition(3), rd.from_arrow(changelog).repartition(2),
+        key="k", num_partitions=8,
+    )
+    return out, ["k"]
+
+
+def _near_dup_docs(with_dups: bool) -> pa.Table:
+    rng = np.random.default_rng(31)
+    vocab = "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu".split()
+    texts = [" ".join(rng.choice(vocab, 40)) for _ in range(60)]
+    if with_dups:
+        near = texts[5].split()
+        near[3], near[17] = "edited", "tokens"
+        texts += [" ".join(near), texts[10]]  # ids 60 (near dup of 5), 61 (copy of 10)
+    return pa.table(
+        {"doc_id": pa.array(np.arange(len(texts), dtype=np.int64)), "text": pa.array(texts)}
+    )
+
+
+def _minhash_dedup_verdict(with_dups: bool):
+    def run(request):
+        from engine.dedupe import minhash_dedup_verdict
+
+        ds = rd.from_arrow(_near_dup_docs(with_dups)).repartition(3)
+        return minhash_dedup_verdict(ds, threshold=0.5), ["doc_id"]
+
+    return run
+
+
+def _incremental_minhash(request):
+    import engine.dedupe as dedupe
+
+    # 0 sends the verify to the hash-join arm, whose label join is a lookup
+    request.getfixturevalue("monkeypatch").setattr(dedupe, "VERIFY_LOCAL_MAX_PAIRS", 0)
+    old = _near_dup_docs(False)
+    fresh = [" ".join(f"w{i}x{j}" for j in range(40)) for i in range(10)]
+    new = pa.table(
+        {"doc_id": pa.array(np.arange(1000, 1020, dtype=np.int64)),
+         "text": pa.array(old["text"].to_pylist()[:10] + fresh)}
+    )
+    index = dedupe.minhash_index(rd.from_arrow(old).repartition(3)).materialize()
+    out = dedupe.incremental_minhash_dedup(rd.from_arrow(new).repartition(2), index, num_partitions=8)
+    return out, ["doc_id"]
+
+
 _SITES = {
     **{f"{how}_{inp}": _direct(how, inp == "empty")
        for inp in ("nulls", "empty") for how in ("semi", "anti", "flag", "left")},
@@ -262,6 +295,16 @@ _SITES = {
     "canonical_url_dedup": _canonical_url_dedup,
     "cooc_lift": _cooc_lift,
     "cooc_lift_empty": _cooc_lift_empty,
+    "line_dedup": _line_dedup,
+    "exact_substring_dedup": _substr_dedup,
+    "jaccard_prefix": _jaccard_prefix,
+    "bpe_token_counts_local": _bpe_token_counts(1 << 40),
+    "bpe_token_counts_distributed": _bpe_token_counts(0),
+    "robots_filter": _robots_filter,
+    "snapshot_merge": _snapshot_merge,
+    "minhash_dedup_verdict": _minhash_dedup_verdict(True),
+    "minhash_dedup_verdict_no_dups": _minhash_dedup_verdict(False),
+    "incremental_minhash_dedup": _incremental_minhash,
 }
 _results: dict = {}
 

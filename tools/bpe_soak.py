@@ -151,6 +151,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     import ray.data as rd
 
+    import engine.bpe as bpe
     from engine.bpe import bpe_merges, word_seq_counts
     from engine.util import clean_read_schema
 
@@ -164,11 +165,12 @@ def main() -> None:
     assert wtab.count() == len(wc)
 
     t0 = time.time()
-    got = bpe_merges(ds, n_merges=N_MERGES).to_pandas()  # auto -> local here
+    got = bpe_merges(ds, n_merges=N_MERGES).to_pandas()  # local at this vocab size
     total_sec = round(time.time() - t0, 2)
 
+    bpe.LOCAL_VOCAB_LIMIT = 0  # forces the distributed loop
     t0 = time.time()
-    got_dist = bpe_merges(ds, n_merges=N_MERGES, mode="distributed").to_pandas()
+    got_dist = bpe_merges(ds, n_merges=N_MERGES).to_pandas()
     total_dist_sec = round(time.time() - t0, 2)
 
     got_rows = list(got.itertuples(index=False, name=None))

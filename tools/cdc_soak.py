@@ -3,9 +3,10 @@ base snapshot merged with a ~0.3M-op changelog — the daily-compaction
 shape where the changelog is ~1e-3..1e-2 of the base. Verifies every
 counter closed-form (update/delete/new/tie classes on disjoint-ish
 residues with overlaps resolved by the (seq, src, op) rule), checks
-spot rows per class, and A/Bs the broadcast path (base never
-shuffles) against the general co-partition path for both wall time
-and value identity (aggregated checksums).
+spot rows per class, and A/Bs the broadcast route (base never
+shuffles) against the general co-partition route, each forced by
+pinning ``engine.joins.BROADCAST_MAX_KEYS``, for both wall time and
+value identity (aggregated checksums).
 
 Usage: python -m tools.cdc_soak [n_rows] [cap_gb]
 Prints one JSON line; raises on any mismatch.
@@ -41,6 +42,7 @@ def main() -> None:
 
     import ray.data as rd
 
+    import engine.joins as joins
     from engine.cdc import snapshot_merge
 
     k = np.arange(n, dtype=np.int64)
@@ -133,9 +135,10 @@ def main() -> None:
         return int(t.rows.sum()), int(t.vs.sum()), int(t.ks.sum())
 
     walls, sums = {}, {}
-    for mode in ("broadcast", "shuffle"):
+    for mode, max_keys in (("broadcast", 1 << 40), ("shuffle", 0)):
+        joins.BROADCAST_MAX_KEYS = max_keys
         t0 = time.time()
-        out = snapshot_merge(base, changelog, key="k", mode=mode, num_partitions=64)
+        out = snapshot_merge(base, changelog, key="k", num_partitions=64)
         sums[mode] = checksum(out)
         walls[mode] = round(time.time() - t0, 2)
 

@@ -110,7 +110,10 @@ def main() -> None:
 
     t0 = time.time()
     ds = rd.read_parquet(path, schema=clean_read_schema(f"{path}/part-0000.parquet"))
-    out = line_dedup(ds, num_partitions=64, max_broadcast_drops=8_000_000)
+    import engine.joins as joins
+
+    joins.BROADCAST_MAX_KEYS = 8_000_000  # keep the drop set broadcast at soak scale
+    out = line_dedup(ds, num_partitions=64)
 
     # Stats reduce INSIDE map_batches (one 3-value row per block) so
     # the driver never receives rebuilt text — the RSS number below

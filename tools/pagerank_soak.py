@@ -1,7 +1,7 @@
 """PageRank at web-host scale under an object-store cap: 1M-node /
-4M-edge derived link graph through the PARTITIONED mode (the 100 TB
-shape — ranks as a Dataset, per-iteration sentinel-union co-partition
-attach + combiner dst-sum), with THREE independent exactness checks:
+4M-edge derived link graph (the 100 TB shape — ranks as a Dataset,
+per-iteration sentinel-union co-partition attach + combiner dst-sum),
+with THREE independent exactness checks:
 
   1. prime-modulus CLOSED FORM — for prime n every LCG edge arm is a
      bijection, the graph is in-regular, and the uniform vector
@@ -87,9 +87,7 @@ def main() -> None:
     ).repartition(32)
     edges_p = derive_link_edges(nodes_p, n_prime)
     t0 = time.time()
-    pr_p = pagerank(
-        nodes_p, edges_p, n_prime, mode="partitioned", num_partitions=32
-    ).to_pandas()
+    pr_p = pagerank(nodes_p, edges_p, num_partitions=32).to_pandas()
     out["prime_wall_s"] = round(time.time() - t0, 2)
     assert len(pr_p) == n_prime, (len(pr_p), n_prime)
     vals = pr_p.pr.to_numpy()
@@ -104,34 +102,13 @@ def main() -> None:
         ).repartition(parts)
         edges_c = derive_link_edges(nodes_c, n)
         t0 = time.time()
-        df = (
-            pagerank(
-                nodes_c, edges_c, n, mode="partitioned", num_partitions=32
-            )
-            .to_pandas()
-            .sort_values("id")
-        )
+        df = pagerank(nodes_c, edges_c, num_partitions=32).to_pandas().sort_values("id")
         walls.append(round(time.time() - t0, 2))
         got.append(df.pr.to_numpy())
     assert (got[0] == got[1]).all(), "block-layout determinism violated"
     expect = _brute(n, 5, 4, scale, 85)
     assert (got[0] == expect).all(), "scalar oracle mismatch"
     out["composite_walls_s"] = walls
-
-    # A/B: pinned-edge actor mode (edges parked in actor state once,
-    # only rank slices travel per iteration) vs the Dataset modes.
-    nodes_a = rd.from_arrow(
-        pa.table({"id": np.arange(n, dtype=np.int64)})
-    ).repartition(32)
-    edges_a = derive_link_edges(nodes_a, n)
-    t0 = time.time()
-    df_a = (
-        pagerank(nodes_a, edges_a, n, mode="actors", num_partitions=12)
-        .to_pandas()
-        .sort_values("id")
-    )
-    out["actors_wall_s"] = round(time.time() - t0, 2)
-    assert (df_a.pr.to_numpy() == expect).all(), "actor mode mismatch"
     out["edges"] = 4 * n
     out["distinct_ranks"] = int(len(np.unique(got[0])))
     out["driver_rss_gb"] = round(

@@ -1,7 +1,7 @@
 """robots-filter-at-scale soak (X51): 10M candidate URLs over 200k
-hosts filtered through both execution paths — the broadcast rules
-table AND the urls ∪ rules host co-partition — with the object store
-capped. Every row's verdict is checked against a closed-form map (the
+hosts filtered through both routes — the broadcast rules table AND
+the urls ∪ rules host co-partition, each forced by pinning
+``engine.joins.BROADCAST_MAX_KEYS`` — with the object store capped. Every row's verdict is checked against a closed-form map (the
 corpus is arithmetic: verdict depends only on (host policy class,
 path), 10 x 13 combos evaluated by an independent scalar
 reference), and the two paths must agree checksum-exactly.
@@ -118,6 +118,7 @@ def main() -> None:
         )
     import ray.data as rd
 
+    import engine.joins as joins
     from engine.robots import robots_filter
     from engine.util import clean_read_schema
 
@@ -142,15 +143,13 @@ def main() -> None:
 
     results = {}
     sums = {}
-    for mode in ("broadcast", "partition"):
+    for mode, max_keys in (("broadcast", 1 << 40), ("partition", 0)):
+        joins.BROADCAST_MAX_KEYS = max_keys
         t0 = time.time()
         urls = rd.read_parquet(
             upath, schema=clean_read_schema(f"{upath}/part-0000.parquet")
         )
-        out = robots_filter(
-            urls, rd.from_arrow(robots_tbl).repartition(8), mode=mode,
-            num_partitions=32,
-        )
+        out = robots_filter(urls, rd.from_arrow(robots_tbl).repartition(8), num_partitions=32)
         n = denied = wrong = 0
         chk = np.uint64(0)
         for b in out.iter_batches(batch_format="pyarrow"):

@@ -109,9 +109,10 @@ def main() -> None:
     # (engine/shuffle.py documents the pathology: inline sub-blocks
     # park on the DRIVER heap — measured 2.2 GB driver RSS at P=64 vs
     # 0.39 GB at P=16; production 128 MB blocks are immune).
-    out = exact_substring_dedup(
-        ds, L=L, num_partitions=16, max_broadcast=8_000_000
-    )
+    import engine.joins as joins
+
+    joins.BROADCAST_MAX_KEYS = 8_000_000  # keep both broadcast sets broadcast at soak scale
+    out = exact_substring_dedup(ds, L=L, num_partitions=16)
 
     # Stats reduce INSIDE map_batches (one tiny row per block) so the
     # driver never receives rebuilt text.

@@ -1,9 +1,9 @@
-"""Beyond-broadcast swap-path soak (round 5): the partition-mode legs
-that engage when lookup state outgrows a ray.put broadcast must hold
-at ~1000x gate scale, not just in the forced-threshold pytest parity
-matrix. Runs the two highest-volume swaps end-to-end in FORCED
-partition mode against their broadcast twins on the same corpus and
-asserts aggregate equality:
+"""Beyond-broadcast swap-path soak: the partition routes that engage
+when lookup state outgrows a ray.put broadcast must hold at ~1000x
+gate scale, not just in the pytest route-parity matrix. Runs the two
+highest-volume swaps end-to-end on both routes over the same corpus
+(each route forced by pinning ``engine.joins.BROADCAST_MAX_KEYS``:
+huge for broadcast, 0 for partition) and asserts aggregate equality:
 
 - line_dedup (C4 cut): the per-doc drop-blob LEFT hash-join rebuild
   vs the broadcast drop set, over the shared line-soak corpus with
@@ -73,6 +73,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
+    import engine.joins as joins
     from engine.dedupe import line_dedup
     from engine.util import clean_read_schema
     from engine.weburl import canonical_url_dedup, make_messy_urls_table
@@ -84,25 +85,15 @@ def main() -> None:
     path = corpus_parquet(n_docs)
     schema = clean_read_schema(f"{path}/part-0000.parquet")
 
-    t0 = time.time()
-    bc = _stats_line(
-        line_dedup(
-            rd.read_parquet(path, schema=schema),
-            num_partitions=64,
-            mode="broadcast",
-            max_broadcast_drops=50_000_000,
-        )
-    )
-    out["line_broadcast_s"] = round(time.time() - t0, 1)
-    t0 = time.time()
-    pt = _stats_line(
-        line_dedup(
-            rd.read_parquet(path, schema=schema),
-            num_partitions=64,
-            mode="partition",
-        )
-    )
-    out["line_partition_s"] = round(time.time() - t0, 1)
+    def line_stats(max_keys: int) -> tuple[tuple[int, int, int], float]:
+        t0 = time.time()
+        joins.BROADCAST_MAX_KEYS = max_keys
+        res = _stats_line(line_dedup(rd.read_parquet(path, schema=schema), num_partitions=64))
+        return res, round(time.time() - t0, 1)
+
+    default_max_keys = joins.BROADCAST_MAX_KEYS
+    bc, out["line_broadcast_s"] = line_stats(50_000_000)
+    pt, out["line_partition_s"] = line_stats(0)
     assert bc == pt, f"line_dedup broadcast {bc} != partition {pt}"
     out["line_docs"], out["line_cut"], _ = pt
     assert out["line_docs"] == n_docs
@@ -113,8 +104,6 @@ def main() -> None:
     truth_groups = len(
         pc.unique(urls["truth_canon"].combine_chunks())
     )
-
-    import engine.joins as joins
 
     def url_stats(max_keys: int) -> tuple[int, int, int, float]:
         t0 = time.time()
@@ -142,7 +131,7 @@ def main() -> None:
             round(time.time() - t0, 1),
         )
 
-    kb, fb, sb, tb = url_stats(joins.BROADCAST_MAX_KEYS)
+    kb, fb, sb, tb = url_stats(default_max_keys)
     kp, fp, sp, tp = url_stats(0)
     assert (kb, fb, sb) == (kp, fp, sp), "canonical_url broadcast != partition"
     assert kb == truth_groups, f"keepers {kb} != truth groups {truth_groups}"
