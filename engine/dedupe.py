@@ -815,13 +815,6 @@ def connected_components_distributed(
     if n_edges <= 5_000_000 and not force_rounds:
 
         def cc_whole(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty or "id_a" not in df.columns:
-                return pd.DataFrame(
-                    {
-                        "doc_id": pd.Series(dtype=np.int64),
-                        "group_id": pd.Series(dtype=np.int64),
-                    }
-                )
             a = df["id_a"].to_numpy()
             b = df["id_b"].to_numpy()
             ids = np.unique(np.concatenate([a, b]))
@@ -838,10 +831,7 @@ def connected_components_distributed(
                     break
             return pd.DataFrame({"doc_id": ids, "group_id": ids[lab]})
 
-        out = edges.repartition(1).map_batches(
-            cc_whole, batch_format="pandas", batch_size=None
-        )
-        return conform_blocks(out, out_schema)
+        return keyed_partition_map(edges, ["id_a"], cc_whole, 1, out_schema=out_schema)
     # Partition count sized to the measured edge count: one partition
     # per ~20k edges keeps every round a handful of tasks while
     # preserving the co-partitioned shape at any scale.

@@ -78,12 +78,15 @@ def enrich_pages(
 def cell_rollup(enriched: Dataset) -> Dataset:
     """Per-cell aggregate (A1): page count + mean coordinates, via the
     per-batch combiner so the shuffle moves partials, not rows.
-    ``salts=8``: the salted pre-merge caps any one cell's partial rows
-    at 8 into the final merge — a Zipfian cell distribution (one cell
-    holding half the corpus) cannot serialize one reducer. Fixed S
-    (not "auto") because the auto probe would re-execute the enrich
-    lineage for its sample; 8 spreads a worst-case hot cell across 8
-    reducers at the cost of one small extra partial shuffle."""
+    Executes ``enriched`` at call time (the partials are materialized
+    and counted). ``salts=8``: when the merge needs more than one
+    partition (over ``shuffle.MERGE_PARTITION_ROWS`` partial rows),
+    the salted pre-merge caps any one cell's partial rows at 8 into
+    the final merge — a Zipfian cell distribution (one cell holding
+    half the corpus) cannot serialize one reducer. Below that the
+    partials merge in one task and no pre-merge runs. Fixed S (not
+    "auto") because the auto probe would re-execute the enrich lineage
+    for its sample."""
     slim = enriched.select_columns(["cell", "fi", "la"])
     return grouped_count_sums(slim, key="cell", mean_cols=("fi", "la"), salts=8)
 

@@ -894,8 +894,13 @@ def q_corpus_diff(sf_dir: str) -> Dataset:
             [pa.table({"doc_id": k_ids, "text": k_txt}), extra]
         )
 
-    index_a = exact_dedup_index(docs)
-    index_b = exact_dedup_index(docs.map_batches(make_b, batch_format="pyarrow"))
+    # Both indexes materialized before the diff: corpus_diff unions two
+    # lineages that each end in a Sort shuffle, and the streaming
+    # executor wedges on that plan at num_cpus=1.
+    index_a = exact_dedup_index(docs).materialize()
+    index_b = exact_dedup_index(
+        docs.map_batches(make_b, batch_format="pyarrow")
+    ).materialize()
     d = corpus_diff(index_a, index_b)
     agg = grouped_count_sums(d.select_columns(["status"]), key="status")
     return agg.map_batches(

@@ -20,9 +20,14 @@ from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
+import ray
 from ray.data import Dataset
 from ray.data.aggregate import Count, Sum
 
+
+# Rows per final-merge partition of grouped_count_sums (read at call
+# time, so tests pin it to force the partitioned route).
+MERGE_PARTITION_ROWS = 65_536
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
@@ -148,89 +153,55 @@ def grouped_count_sums(
     combining and a partition-wise vectorized final merge.
 
     Phase 1 (map side): one partial row per (key tuple, batch) — the
-    shuffle moves partials, not rows. Phase 2: Ray's sort-based
-    aggregate costs ~0.1 ms *per output group* (measured: 18 s for
-    87 k groups) plus ~100 ms/block fixed Aggregate cost, so instead
-    of ``groupby(key).aggregate(...)`` the partials are co-grouped on
-    a coarse partition key (``hash(keys) % P``) and each partition is
-    merged with one C-speed pandas groupby — per-group Python overhead
-    is paid P times, not n_keys times.
+    shuffle moves partials, not rows. The partials are output-scale
+    (at most n_keys x blocks rows), so they are materialized and
+    counted: this EXECUTES ``ds`` at call time. Phase 2 merges them
+    in ``max(1, min(num_partitions, rows // MERGE_PARTITION_ROWS))``
+    partitions. One partition (every rollup whose partials fit one
+    task) is one ``keyed_partition_map`` task with no sort. More
+    partitions co-group the partials on a coarse partition key
+    (``hash(keys) % P``) and merge each partition with one C-speed
+    pandas groupby — Ray's sort-based aggregate instead pays ~0.1 ms
+    *per output group* (measured: 18 s for 87 k groups), so per-group
+    Python overhead is paid P times, not n_keys times.
 
-    ``salts`` — hot-key (Zipfian) protection for the final merge. A
-    hot key contributes one partial row PER BLOCK, all landing in one
-    merge partition (at 100 TB: ~1M blocks -> ~1M rows serialized on
-    one reducer). ``salts=S > 1`` inserts a salted PRE-MERGE: partial
-    rows get ``_salt = row % S`` and are first merged per (key tuple,
-    salt) — the hot key's per-block partials spread over S partitions
-    and the final merge sees at most S rows per key. All merged stats
-    are associative+commutative (counts/sums/mins/maxs; means derive
-    from sums), so results are bit-identical (pytest: 50%-hot-key
-    corpus, salted == unsalted == oracle). ``salts="auto"`` runs the
-    SURVEY-§4 probe — sampled_key_histogram + choose_salts — and
-    salts only when the sampled top-key share warrants it; note the
-    probe RE-EXECUTES ``ds``'s lineage for the sample, so use "auto"
-    on cheap-lineage inputs (direct reads) and pass an explicit S
-    inside expensive pipelines.
+    ``salts`` — hot-key (Zipfian) protection for a partitioned merge.
+    A hot key contributes one partial row PER BLOCK, all landing in
+    one merge partition (at 100 TB: ~1M blocks -> ~1M rows serialized
+    on one reducer). ``salts=S > 1`` inserts a salted PRE-MERGE:
+    partial rows get ``_salt = row % S`` and are first merged per (key
+    tuple, salt) — the hot key's per-block partials spread over S
+    partitions and the final merge sees at most S rows per key. All
+    merged stats are associative+commutative (counts/sums/mins/maxs;
+    means derive from sums), so results are bit-identical (pytest:
+    50%-hot-key corpus, salted == unsalted == oracle on both routes).
+    ``salts="auto"`` runs the SURVEY-§4 probe — sampled_key_histogram
+    + choose_salts — and salts only when the sampled top-key share
+    warrants it; the probe RE-EXECUTES ``ds``'s lineage for the
+    sample. The pre-merge and the probe run only when the merge needs
+    more than one partition: a one-task merge has no reducer to skew.
 
     Output columns: ``keys..., cnt, sum_<c>..., mean_<c>...,
     min_<c>..., max_<c>...``.
     """
+    import pandas as pd
+
     keys = [key] if isinstance(key, str) else list(key)
     sum_all = tuple(dict.fromkeys(tuple(sum_cols) + tuple(mean_cols)))
-    if salts == "auto":
-        hist = sampled_key_histogram(ds, keys[0])
-        salts = choose_salts(hist, int(hist.cnt.sum()) if len(hist) else 0)
     partials = ds.map_batches(
         _combine_batch,
         batch_format="pyarrow",
         fn_kwargs=dict(
             keys=keys, sum_cols=sum_all, min_cols=min_cols, max_cols=max_cols
         ),
-    )
+    ).materialize()
 
-    import pandas as pd
+    def merge_partitions(rows: Dataset) -> int:
+        # Each merge partition wants >= MERGE_PARTITION_ROWS rows before
+        # its fixed cost amortizes (count is free on a materialized set).
+        return max(1, min(num_partitions, rows.count() // MERGE_PARTITION_ROWS))
 
-    if int(salts) > 1:
-        s = int(salts)
-
-        def add_salt(b: pa.Table) -> pa.Table:
-            salt = (np.arange(b.num_rows, dtype=np.int64) % s).astype(np.int32)
-            return b.append_column("_salt", pa.array(salt))
-
-        def pre_merge(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby(keys + ["_salt"], sort=False, dropna=False)
-            agg: dict[str, tuple] = {"_cnt": ("_cnt", "sum")}
-            for c in sum_all:
-                agg[f"_sum_{c}"] = (f"_sum_{c}", "sum")
-            for c in min_cols:
-                agg[f"_min_{c}"] = (f"_min_{c}", "min")
-            for c in max_cols:
-                agg[f"_max_{c}"] = (f"_max_{c}", "max")
-            return g.agg(**agg).reset_index()
-
-        partials = keyed_partition_map(
-            partials.map_batches(add_salt, batch_format="pyarrow"),
-            keys + ["_salt"],
-            pre_merge,
-            num_partitions,
-        ).map_batches(lambda b: b.drop_columns(["_salt"]), batch_format="pyarrow")
-        # DAG break between the two sort stages. Fused lazily, Ray 2.49's
-        # streaming executor interleaves the second Sort's map tasks with
-        # the first Sort's reduce tasks and the pair runs ~2.4x slower at
-        # low parallelism (measured: 15.8 s fused vs 6.9 s split at 8
-        # CPUs, 4M rows — same family as the Union->Sort wedge, see
-        # engine/dedupe.py). Materializing here is output-scale, not
-        # corpus-scale: the pre-merge leaves <= n_keys * S rows total.
-        partials = partials.materialize()
-        # The final merge's input is now the reduced set; size its
-        # shuffle to the data (count is free on a materialized set).
-        # Each merge partition wants >= ~64k rows before the per-
-        # partition fixed cost amortizes; the salted pre-merge already
-        # bounded hot keys at S rows, so few partitions is safe.
-        num_partitions = max(1, min(num_partitions, partials.count() // 65_536))
-
-    def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, sort=False, dropna=False)
+    def merge(df: pd.DataFrame, by: list[str]) -> pd.DataFrame:
         agg: dict[str, tuple] = {"_cnt": ("_cnt", "sum")}
         for c in sum_all:
             agg[f"_sum_{c}"] = (f"_sum_{c}", "sum")
@@ -238,7 +209,43 @@ def grouped_count_sums(
             agg[f"_min_{c}"] = (f"_min_{c}", "min")
         for c in max_cols:
             agg[f"_max_{c}"] = (f"_max_{c}", "max")
-        g = g.agg(**agg).reset_index()
+        return df.groupby(by, sort=False, dropna=False).agg(**agg).reset_index()
+
+    parts = merge_partitions(partials)
+    if parts > 1:
+        if salts == "auto":
+            hist = sampled_key_histogram(ds, keys[0])
+            salts = choose_salts(hist, int(hist.cnt.sum()) if len(hist) else 0)
+        if int(salts) > 1:
+            s = int(salts)
+
+            def add_salt(b: pa.Table) -> pa.Table:
+                salt = (np.arange(b.num_rows, dtype=np.int64) % s).astype(np.int32)
+                return b.append_column("_salt", pa.array(salt))
+
+            # Materialized: a DAG break between the two sort stages.
+            # Fused lazily, Ray 2.49's streaming executor interleaves the
+            # second Sort's map tasks with the first Sort's reduce tasks
+            # and the pair runs ~2.4x slower at low parallelism
+            # (measured: 15.8 s fused vs 6.9 s split at 8 CPUs, 4M rows
+            # — same family as the Union->Sort wedge, see
+            # engine/dedupe.py). The pre-merge leaves <= n_keys * S rows.
+            partials = (
+                keyed_partition_map(
+                    partials.map_batches(add_salt, batch_format="pyarrow"),
+                    keys + ["_salt"],
+                    lambda df: merge(df, keys + ["_salt"]),
+                    parts,
+                )
+                .map_batches(
+                    lambda b: b.drop_columns(["_salt"]), batch_format="pyarrow"
+                )
+                .materialize()
+            )
+            parts = merge_partitions(partials)
+
+    def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
+        g = merge(df, keys)
         out = g[keys].copy()
         out["cnt"] = g["_cnt"].astype(np.int64)
         for c in sum_cols:
@@ -251,16 +258,7 @@ def grouped_count_sums(
             out[f"max_{c}"] = g[f"_max_{c}"]
         return out
 
-    if num_partitions == 1:
-        # Degenerate single-partition merge: skip the sort shuffle and
-        # coalesce + merge in one vectorized map (the salted pre-merge
-        # already reduced the set to <= n_keys * S rows).
-        return partials.repartition(1).map_batches(
-            lambda df: _own_object_ndarrays(merge_partition(df)),
-            batch_format="pandas",
-            batch_size=None,
-        )
-    return keyed_partition_map(partials, keys, merge_partition, num_partitions)
+    return keyed_partition_map(partials, keys, merge_partition, parts)
 
 
 def _own_object_ndarrays(df):
@@ -340,11 +338,25 @@ def keyed_partition_map(
     joins reject the null-typed fields. When given, every output block
     is conformed to the schema (per-block metadata cast, ~free).
 
-    Known limit: a result with ZERO rows overall still reports a None
-    dataset schema — Ray (2.49) drops empty blocks from schema
-    unification and never runs map_batches UDFs on them, so no user
-    code can retype a fully-empty dataset. Degenerate only (consumers
-    see correct schemas whenever any partition emitted rows)."""
+    ``num_partitions=1``: no ``_pkey`` and no sort. One Ray task takes
+    the input's blocks (``ds.to_arrow_refs()``, which EXECUTES ``ds``
+    at call time), concatenates them, runs ``partition_fn`` once on all
+    rows and returns the result as a one-block materialized dataset.
+    An input with no rows gives zero rows without calling
+    ``partition_fn`` (as no partition would), typed by ``out_schema``
+    when one is given.
+
+    Known limit (``num_partitions > 1``): a result with ZERO rows
+    overall still reports a None dataset schema — Ray (2.49) drops
+    empty blocks from schema unification and never runs map_batches
+    UDFs on them, so no user code can retype a fully-empty dataset.
+    Degenerate only (consumers see correct schemas whenever any
+    partition emitted rows)."""
+    if num_partitions == 1:
+        import ray.data as rd
+
+        ref = _one_partition.remote(partition_fn, out_schema, *ds.to_arrow_refs())
+        return rd.from_arrow_refs([ref])
 
     def add_pkey(batch: pa.Table) -> pa.Table:
         h = deterministic_key_hash(batch, keys)
@@ -364,19 +376,42 @@ def keyed_partition_map(
     return res
 
 
+@ray.remote
+def _one_partition(partition_fn, out_schema: pa.Schema | None, *blocks) -> pa.Table:
+    """keyed_partition_map's one-partition merge: ``partition_fn`` over
+    all rows, converted as on the sort route. Every block becomes
+    Arrow first: a dataset can mix pandas and Arrow blocks, and
+    ``to_arrow_refs`` passes pandas blocks through when the unified
+    schema is Arrow. All rows then form one pandas batch, and the
+    returned frame is built into a block, so ndarray columns become
+    tensor columns."""
+    from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
+    from ray.data.block import BlockAccessor
+
+    accs = [BlockAccessor.for_block(b) for b in blocks]
+    tables = [a.to_arrow() for a in accs if a.num_rows()]
+    if not tables:
+        return pa.table({}) if out_schema is None else out_schema.empty_table()
+    df = BlockAccessor.for_block(pa.concat_tables(tables, promote_options="permissive"))
+    builder = DelegatingBlockBuilder()
+    builder.add_batch(_own_object_ndarrays(partition_fn(df.to_pandas())))
+    out = BlockAccessor.for_block(builder.build()).to_arrow()
+    return out if out_schema is None else _conform(out, out_schema)
+
+
+def _conform(b: pa.Table, schema: pa.Schema) -> pa.Table:
+    if b.num_rows == 0 or b.num_columns == 0:
+        return schema.empty_table()
+    return b.select(schema.names).cast(schema)
+
+
 def conform_blocks(ds: Dataset, schema: pa.Schema) -> Dataset:
     """Coerce every block to ``schema``. Ray's pandas ``map_groups``
     can emit zero-column empty blocks (PandasBlockSchema(names=[]))
     whose unified schema then types columns as null — which poisons
     schema-sensitive consumers (pyarrow Table.join rejects null-typed
     non-key fields). Cheap: casts are per-block metadata ops."""
-
-    def norm(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or b.num_columns == 0:
-            return schema.empty_table()
-        return b.select(schema.names).cast(schema)
-
-    return ds.map_batches(norm, batch_format="pyarrow")
+    return ds.map_batches(lambda b: _conform(b, schema), batch_format="pyarrow")
 
 
 def salted_groupby_count(ds: Dataset, key: str, salts: int = 16) -> Dataset:

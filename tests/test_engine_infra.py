@@ -194,12 +194,16 @@ def test_salted_groupby_count_matches_plain():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_grouped_count_sums_salted_matches_unsalted_on_hot_key():
+def test_grouped_count_sums_salted_matches_unsalted_on_hot_key(monkeypatch):
     """Hot-key salting (VERDICT-r3 #3): one key holding 50% of all
-    rows — salted pre-merge (fixed S and "auto" via the sampled
-    histogram) returns IDENTICAL counts/int-sums to the unsalted path
-    and the pandas oracle; float means agree to relative 1e-12 (the
-    pre-merge reorders float partial addition)."""
+    rows — unsalted, salts=8 and "auto" give IDENTICAL counts/int-sums/
+    mins/maxs on both merge routes (one task, and the partitioned
+    merge forced by pinning MERGE_PARTITION_ROWS to 1) and match the
+    pandas oracle; float means agree to relative 1e-12 (the pre-merge
+    reorders float partial addition). A spy on keyed_partition_map
+    asserts which route ran: the salted pre-merge only runs on the
+    partitioned route, so without the pin it would go untested here."""
+    import engine.shuffle as sh
     from engine.shuffle import choose_salts, grouped_count_sums, sampled_key_histogram
 
     rng = np.random.default_rng(5)
@@ -214,18 +218,38 @@ def test_grouped_count_sums_salted_matches_unsalted_on_hot_key():
     )
     ds = rd.from_arrow(t).repartition(16)
     kw = dict(key="cell", sum_cols=("v",), mean_cols=("f",), min_cols=("v",), max_cols=("v",))
-    plain = grouped_count_sums(ds, **kw).to_pandas().sort_values("cell").reset_index(drop=True)
-    for s in (8, "auto"):
-        salted = (
-            grouped_count_sums(ds, **kw, salts=s)
-            .to_pandas()
-            .sort_values("cell")
-            .reset_index(drop=True)
-        )
+
+    calls: list[int] = []
+    real_kpm = sh.keyed_partition_map
+
+    def spy(ds, keys, partition_fn, num_partitions=64, **kwargs):
+        calls.append(num_partitions)
+        return real_kpm(ds, keys, partition_fn, num_partitions, **kwargs)
+
+    monkeypatch.setattr(sh, "keyed_partition_map", spy)
+    results = {}
+    for route, merge_rows in (("one_task", sh.MERGE_PARTITION_ROWS), ("partitioned", 1)):
+        monkeypatch.setattr(sh, "MERGE_PARTITION_ROWS", merge_rows)
+        for s in (1, 8, "auto"):
+            calls.clear()
+            results[route, s] = (
+                grouped_count_sums(ds, **kw, salts=s)
+                .to_pandas()
+                .sort_values("cell")
+                .reset_index(drop=True)
+            )
+            if route == "one_task":
+                assert calls == [1], (route, s, calls)
+            elif s == 1:
+                assert len(calls) == 1 and calls[0] > 1, (route, s, calls)
+            else:  # salted pre-merge, then the final merge
+                assert len(calls) == 2 and min(calls) > 1, (route, s, calls)
+    plain = results["one_task", 1]
+    for (route, s), got in results.items():
         for c in ("cell", "cnt", "sum_v", "min_v", "max_v"):
-            assert (salted[c].to_numpy() == plain[c].to_numpy()).all(), (s, c)
+            assert (got[c].to_numpy() == plain[c].to_numpy()).all(), (route, s, c)
         np.testing.assert_allclose(
-            salted["mean_f"].to_numpy(), plain["mean_f"].to_numpy(), rtol=1e-12
+            got["mean_f"].to_numpy(), plain["mean_f"].to_numpy(), rtol=1e-12
         )
     # pandas oracle for the exact-int columns
     df = t.to_pandas()
@@ -235,6 +259,65 @@ def test_grouped_count_sums_salted_matches_unsalted_on_hot_key():
     # the probe itself picks S > 1 on this distribution
     hist = sampled_key_histogram(ds, "cell", fraction=0.01)
     assert choose_salts(hist, int(hist.cnt.sum())) > 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_keyed_partition_map_one_partition_equals_sixteen():
+    """num_partitions=1 (one task, no sort) returns the same rows as
+    the 16-partition sort route, with the out_schema types. The input
+    mixes Arrow blocks with a pandas block, which to_arrow_refs hands
+    through unconverted."""
+    from engine.shuffle import keyed_partition_map
+
+    rng = np.random.default_rng(11)
+    n = 20_000
+    t = pa.table(
+        {
+            "k": pa.array(rng.integers(0, 500, n, dtype=np.int64)),
+            "s": pa.array([f"u{i % 37}" for i in range(n)]),
+            "v": pa.array(rng.normal(size=n)),
+        }
+    )
+    half = n // 2
+    arrow_blocks = [t.slice(i, 2_500) for i in range(0, half, 2_500)]
+    ds = rd.from_arrow(arrow_blocks).union(rd.from_pandas(t.slice(half).to_pandas()))
+    schema = pa.schema([("k", pa.int64()), ("s", pa.string()), ("n", pa.int64()), ("v", pa.float64())])
+
+    def per_key(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(["k", "s"], sort=False)
+        return g["v"].agg(n="size", v="sum").reset_index()
+
+    def collect(p: int) -> pd.DataFrame:
+        out = keyed_partition_map(ds, ["k", "s"], per_key, p, out_schema=schema)
+        assert out.schema().base_schema == schema
+        return out.to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
+
+    one, sixteen = collect(1), collect(16)
+    assert one["n"].sum() == n
+    pd.testing.assert_frame_equal(one, sixteen, check_exact=False, rtol=1e-12)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("blocks", ["none", "only_empty"])
+def test_keyed_partition_map_one_partition_empty_input(blocks):
+    """No rows in, zero rows out without calling partition_fn, typed
+    by out_schema — whether the input has no blocks or only empty ones."""
+    from engine.shuffle import keyed_partition_map
+
+    empty = pa.schema([("k", pa.int64()), ("v", pa.float64())]).empty_table()
+    if blocks == "none":
+        ds = rd.from_arrow(empty).limit(0)  # executes to zero blocks
+    else:
+        ds = rd.from_arrow([empty, empty])
+    out_schema = pa.schema([("k", pa.int64()), ("n", pa.int32())])
+
+    def boom(df):
+        raise AssertionError("partition_fn called on an empty input")
+
+    out = keyed_partition_map(ds, ["k"], boom, 1, out_schema=out_schema)
+    assert out.count() == 0
+    assert out.schema().base_schema == out_schema
+    assert keyed_partition_map(ds, ["k"], boom, 1).count() == 0
 
 
 def test_checkpoint_stale_manifest_rerun(tmp_path, ray_session):
@@ -387,13 +470,14 @@ def test_keyed_partition_map_owns_ndarray_view_columns(ray_session):
             }
         )
 
-    out = keyed_partition_map(rd.from_arrow(t), ["k"], regroup, num_partitions=1)
-    rows = out.take_all()
-    assert len(rows) == 2
-    for r in rows:
-        xs = np.asarray(r["xs"])
-        ys = np.asarray(r["ys"])
-        assert np.array_equal(ys, xs * 100.0 + 1.0)  # ys survived intact
+    for num_partitions in (1, 4):  # the one-task route and the sort route
+        out = keyed_partition_map(rd.from_arrow(t), ["k"], regroup, num_partitions)
+        rows = out.take_all()
+        assert len(rows) == 2
+        for r in rows:
+            xs = np.asarray(r["xs"])
+            ys = np.asarray(r["ys"])
+            assert np.array_equal(ys, xs * 100.0 + 1.0)  # ys survived intact
 
     # The underlying Ray defect, probed directly (documents WHY the
     # guard exists; if a Ray upgrade fixes from_numpy, this stops
@@ -524,3 +608,62 @@ def test_cli_curate_end_to_end(tmp_path):
     assert files
     back = pq.read_table(files)
     assert back.num_rows == 2
+
+
+_CORPUS_DIFF_ONE_CPU = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from engine.queries import q_corpus_diff
+df = q_corpus_diff(sys.argv[1]).to_pandas()
+print(dict(zip(df["status"], df["n"].astype(int))))
+ray.shutdown()
+"""
+
+
+def test_corpus_diff_finishes_at_one_cpu(tmp_path):
+    """q_corpus_diff at num_cpus=1, in its own process and Ray session:
+    the diff unions two sorted index lineages, which wedged Ray's
+    streaming executor at one CPU until both indexes were materialized
+    first. A hang fails the test at the timeout (the process group,
+    Ray's own processes included, is killed); the counts are checked
+    against pandas."""
+    import ast
+    import signal
+
+    rng = np.random.default_rng(3)
+    n = 2_000
+    words = np.array(list("abcdefghijklmnop"))
+    text = [" ".join(words[rng.integers(0, 16, 12)]) for _ in range(n)]
+    text = [t if i % 7 else text[0] for i, t in enumerate(text)]  # exact dups
+    docs = pd.DataFrame({"doc_id": np.arange(n, dtype=np.int64), "text": text})
+    pq.write_table(pa.Table.from_pandas(docs, preserve_index=False), tmp_path / "documents.parquet")
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CORPUS_DIFF_ONE_CPU, str(tmp_path)],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=150)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("q_corpus_diff did not finish within 150 s at num_cpus=1")
+    assert proc.returncode == 0, err[-2000:]
+    got = ast.literal_eval(out.strip().splitlines()[-1])
+
+    # The synthesized next crawl, as q_corpus_diff / SQL_CORPUS_DIFF define it.
+    ids = docs["doc_id"]
+    b = docs[ids % 5 != 0].copy()
+    b.loc[b["doc_id"] % 5 == 1, "text"] += " v2"
+    extra = docs[ids % 5 == 2]["text"] + " extra"
+    a_texts = set(docs["text"])
+    b_texts = set(b["text"]) | set(extra)
+    assert got == {
+        "common": len(a_texts & b_texts),
+        "removed": len(a_texts - b_texts),
+        "added": len(b_texts - a_texts),
+    }

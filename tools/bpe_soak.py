@@ -23,6 +23,7 @@ Prints one JSON line; raises on any merge mismatch.
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
@@ -67,8 +68,6 @@ def doc_layout(n_docs: int):
 
 def corpus_parquet(n_docs: int) -> str:
     """Build (cached) the deterministic soak corpus; returns the file."""
-    import os
-
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -141,7 +140,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=16,
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "16")),
             include_dashboard=False,
             object_store_memory=int(cap_gb * (1 << 30)),
             logging_level="ERROR",

@@ -19,6 +19,7 @@ Prints one JSON line; raises on any exactness miss.
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
@@ -52,7 +53,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=16,
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "16")),
             include_dashboard=False,
             object_store_memory=int(cap_gb * (1 << 30)),
             logging_level="ERROR",

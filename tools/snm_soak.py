@@ -17,6 +17,7 @@ Prints one JSON line; raises on any mismatch.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -47,7 +48,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=16,
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "16")),
             include_dashboard=False,
             object_store_memory=int(cap_gb * (1 << 30)),
             logging_level="ERROR",
