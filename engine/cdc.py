@@ -15,27 +15,32 @@ Semantics (exactly as mirrored in SQL — change together):
   A snapshot's rows are implicit upserts carrying the seq they were
   written at; a changelog may hold many entries per key.
 
-Scale design — the property that matters at 100 TB. The route is the
-``engine.joins`` rule on the changelog's per-key winner count: at
-most ``joins.BROADCAST_MAX_KEYS`` winners -> broadcast, else shuffle.
-  * broadcast: the changelog reduces to
-    winners with ONE changelog-scale co-partition, the winner table
-    broadcasts once via ``ray.put``, and the base corpus NEVER enters
-    a shuffle — one pruned key-column pass finds which changed keys
-    exist in the base, one full pass emits survivors + in-place
-    replacements block-locally (output stays co-located with the
-    base's partitioning, exactly what a partitioned snapshot sink
-    wants), and brand-new keys append from the winner table. Daily
-    changelogs are ~1e-3 of a 100 TB base; shuffling the base to
-    merge them is the classic anti-pattern this path avoids.
-  * shuffle: the general path — tag src, align schemas,
-    union, one co-partition by key hash, vectorized per-partition
-    winner take (lexsort + drop_duplicates keep-last). Needed only
-    when the changelog rivals the base (e.g. a backfill); the union
+Scale design — the property that matters at 100 TB. The changelog
+first reduces to one winner row per key (``changelog_winners``, one
+changelog-scale co-partition, materialized and counted). The route is
+the ``engine.joins`` rule on that count:
+  * at most ``joins.BROADCAST_MAX_KEYS`` winners: the sorted winner
+    keys and an Arrow winner table go to the object store with one
+    ``ray.put`` and plain map functions read them (the
+    ``joins.broadcast_lookup`` shape). The base NEVER enters a
+    shuffle: a ``joins.semi_filter`` pass over the base's key column
+    finds which changed keys exist in the base, and one full pass
+    probes each base block with the shared searchsorted
+    (``joins._positions``), keeps survivors and takes in-place
+    replacements from the winner table block-locally (output stays
+    co-located with the base's partitioning, exactly what a
+    partitioned snapshot sink wants); brand-new keys append from the
+    winner table. Daily changelogs are ~1e-3 of a 100 TB base;
+    shuffling the base to merge them is the anti-pattern this avoids.
+  * beyond it (the changelog rivals the base, e.g. a backfill): the
+    base, tagged src 0, is unioned with the winners (not the full
+    changelog, so the changelog shuffles once) and one co-partition
+    by key hash takes the winner per key again. The rule — greatest
+    (seq, src, op) — is associative, so merging the base with the
+    winners equals merging it with the whole changelog. The union
     feeding a sort is the documented Ray-2.49 backpressure-wedge
-    shape (see dedupe.both_sides), so the union input is bounded by
-    construction here: both sides are already projected to output
-    columns.
+    shape, so it is materialized (both sides are already projected
+    to output columns).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
@@ -82,58 +88,6 @@ def changelog_winners(
     )
 
 
-class _MatchedKeys:
-    """Actor-pool stage for the broadcast path's pruned key pass."""
-
-    def __init__(self, kref=None, key="k", wk=None):
-        self.wk = ray.get(kref) if kref is not None else wk
-        self.key = key
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        k = b[self.key].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(self.wk, k)
-        idx_c = np.minimum(idx, max(len(self.wk) - 1, 0))
-        m = (len(self.wk) > 0) & (self.wk[idx_c] == k)
-        return pa.table({self.key: pa.array(k[m])})
-
-
-class _MergeBlocks:
-    """Actor-pool stage for the broadcast path's full base pass: the
-    changelog winner frame is fetched once per actor in ``__init__``
-    (zero-copy from the local store), never per batch."""
-
-    def __init__(self, wref=None, key="k", seq_col="seq", op_col="op", base_cols=(), w=None):
-        w = ray.get(wref) if wref is not None else w
-        self.key, self.seq_col, self.op_col = key, seq_col, op_col
-        self.base_cols = list(base_cols)
-        self.wk = w[key].to_numpy()
-        self.ws = w[seq_col].to_numpy()
-        self.w = w
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        wk, ws = self.wk, self.ws
-        k = b[self.key].to_numpy(zero_copy_only=False)
-        s = b[self.seq_col].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(wk, k)
-        idx_c = np.minimum(idx, max(len(wk) - 1, 0))
-        m = (len(wk) > 0) & (wk[idx_c] == k)
-        base_wins = np.zeros(len(b), bool)
-        base_wins[m] = s[m] > ws[idx_c[m]]
-        keep = ~m | base_wins
-        out = b.filter(pa.array(keep))
-        # changelog-winning upserts for keys present in this block
-        repl_sel = m & ~base_wins
-        if repl_sel.any():
-            rows = self.w.iloc[idx_c[repl_sel]]
-            rows = rows[rows[self.op_col] == "u"]
-            if len(rows):
-                repl = pa.Table.from_pandas(
-                    rows[self.base_cols], preserve_index=False
-                ).cast(out.schema)
-                out = pa.concat_tables([out, repl])
-        return out
-
-
 def snapshot_merge(
     base: Dataset,
     changelog: Dataset,
@@ -157,93 +111,52 @@ def snapshot_merge(
 
     winners = changelog_winners(changelog, key, seq_col, op_col).materialize()
     if winners.count() <= joins.BROADCAST_MAX_KEYS:
-        wdf = winners.to_pandas().sort_values(key, kind="stable")
-        wkeys = wdf[key].to_numpy()
-
-        # Size-adaptive shipping (the flag_join precedent): a small
-        # winner table rides the serialized task closure — zero
-        # actor-pool startup (measured ~1.2 s across the two pools at
-        # gate scale); a large one broadcasts once via ray.put into
-        # actor pools so it ships per ACTOR, never per task.
-        w_bytes = int(wdf.memory_usage(deep=True).sum())
-        use_actors = w_bytes > (8 << 20)
+        parts = [
+            b for b in winners.iter_batches(batch_size=None, batch_format="pyarrow")
+            if b.num_rows
+        ]
+        if not parts:
+            return base
+        w = pa.concat_tables(parts).sort_by(key).combine_chunks()
+        wk = w[key].to_numpy(zero_copy_only=False)
+        upsert = pc.equal(w[op_col], "u").to_numpy(zero_copy_only=False)
+        ref = ray.put(
+            (wk, w[seq_col].to_numpy(zero_copy_only=False), upsert, w.select(base_cols))
+        )
 
         # Pass A (pruned: the key column only, ~8 B/row leaves
         # storage): which changed keys exist in the base?
-        pruned = base.select_columns([key])
-        if use_actors:
-            probe = pruned.map_batches(
-                _MatchedKeys,
-                fn_constructor_kwargs=dict(kref=ray.put(wkeys), key=key),
-                batch_format="pyarrow",
-                concurrency=(1, 8),
-            )
-        else:
-            finder = _MatchedKeys(key=key, wk=wkeys)
-            probe = pruned.map_batches(finder.__call__, batch_format="pyarrow")
-        matched = probe.to_pandas()
-        matched_keys = np.sort(matched[key].to_numpy())
+        matched = joins.semi_filter(base.select_columns([key]), wk, key)
+        in_base = np.zeros(len(wk), dtype=bool)
+        for b in matched.iter_batches(batch_size=None, batch_format="pyarrow"):
+            in_base[joins._positions(wk, b[key])[0]] = True
 
         # Pass B (full): survivors + in-place replacements, emitted
         # block-locally — the base never shuffles.
-        if use_actors:
-            merged = base.map_batches(
-                _MergeBlocks,
-                fn_constructor_kwargs=dict(
-                    wref=ray.put(wdf),
-                    key=key,
-                    seq_col=seq_col,
-                    op_col=op_col,
-                    base_cols=base_cols,
-                ),
-                batch_format="pyarrow",
-                concurrency=(1, 8),
-            )
-        else:
-            merger = _MergeBlocks(
-                key=key, seq_col=seq_col, op_col=op_col, base_cols=base_cols, w=wdf
-            )
-            merged = base.map_batches(merger.__call__, batch_format="pyarrow")
+        def merge_block(b: pa.Table) -> pa.Table:
+            wk, ws, upsert, rows = ray.get(ref)
+            pos, hit = joins._positions(wk, b[key])
+            s = b[seq_col].to_numpy(zero_copy_only=False)
+            base_wins = hit & (s > ws[pos])
+            repl = pos[hit & ~base_wins & upsert[pos]]
+            out = b.filter(pa.array(~hit | base_wins))
+            return pa.concat_tables([out, rows.take(pa.array(repl)).cast(out.schema)])
 
+        merged = base.map_batches(merge_block, batch_format="pyarrow")
         # Brand-new keys: changelog upsert winners absent from the base.
-        new_rows = wdf[
-            (wdf[op_col] == "u")
-            & ~np.isin(wdf[key].to_numpy(), matched_keys, assume_unique=False)
-        ]
-        if len(new_rows):
+        new_rows = w.filter(pa.array(upsert & ~in_base)).select(base_cols)
+        if new_rows.num_rows:
             import ray.data as rd
 
-            # winners carry the changelog's ARROW schema (set by
-            # changelog_winners' out_schema): base columns + op + _src.
-            ws = winners.schema()
-            base_schema = pa.schema(
-                [
-                    pa.field(n, t)
-                    for n, t in zip(ws.names, ws.types)
-                    if n in base_cols
-                ]
-            )
-            news = rd.from_arrow(
-                pa.Table.from_pandas(new_rows[base_cols], preserve_index=False)
-                .select(base_cols)
-                .cast(pa.schema([base_schema.field(c) for c in base_cols]))
-                .replace_schema_metadata(None)
-            )
-            merged = merged.union(news)
+            merged = merged.union(rd.from_arrow(new_rows))
         return merged
 
-    # General co-partition path: both sides projected + tagged, one
-    # key-hash shuffle, vectorized winner take per partition.
+    # Co-partition route: the base and the winners, projected and
+    # tagged, one key-hash shuffle, vectorized winner take per partition.
     def tag_base(b: pa.Table) -> pa.Table:
         n = len(b)
         b = b.append_column(op_col, pa.array(np.full(n, "u"), pa.string()))
         return b.append_column("_src", pa.array(np.zeros(n, np.int8)))
-
-    def tag_cl(b: pa.Table) -> pa.Table:
-        cols = base_cols + [op_col]
-        return b.select(cols).append_column(
-            "_src", pa.array(np.ones(len(b), np.int8))
-        )
 
     # Materialize the union feeding the co-partition sort: Ray 2.49's
     # streaming executor trickles a Union directly upstream of a sort
@@ -254,7 +167,7 @@ def snapshot_merge(
     # the sort materializes the same bytes anyway.
     both = (
         base.map_batches(tag_base, batch_format="pyarrow")
-        .union(changelog.map_batches(tag_cl, batch_format="pyarrow"))
+        .union(winners.select_columns(base_cols + [op_col, "_src"]))
         .materialize()
     )
     bs = both.schema()  # arrow (post-map_batches; first block only)

@@ -767,52 +767,49 @@ def verify_pairs_jaccard(
     return pairs[np.array(keep, dtype=bool)] if len(pairs) else pairs
 
 
+# Dup graphs with at most this many edges take the one-task union-find
+# (read at call time, so tests pin it to force the rounds).
+CC_LOCAL_MAX_EDGES = 5_000_000
+
+
 def connected_components_distributed(
     pairs: Dataset,
     max_rounds: int = 30,
     num_partitions: int = 32,
-    force_rounds: bool = False,
 ) -> Dataset:
-    """Distributed connected components on the dup graph by iterative
-    min-label propagation — one co-partitioned merge per round, no
-    driver-side union-find over the edges (the 10^12-row scale path).
+    """Connected components of the dup graph, with no driver-side
+    union-find over the edges. Returns Dataset[doc_id, group_id] (the
+    min id of the component) for every node in ``pairs``.
 
-    State per round: labels(node, label). Each round ships every
-    edge's endpoint labels both directions and takes the per-node min
-    (including the node's current label); labels are monotonically
-    non-increasing, so the driver-side convergence check is a single
-    scalar sum per round. Rounds needed = graph diameter (dup clusters
-    are shallow: pairs share LSH buckets, so diameters are small).
+    The edges are materialized and counted (a scalar). At most
+    ``CC_LOCAL_MAX_EDGES`` edges converge in ONE task: vectorized
+    union-find with pointer jumping inside a worker. Rounds of Ray
+    overhead are what a small graph should never pay.
 
-    Returns Dataset[doc_id, group_id] for every node appearing in
-    ``pairs``."""
+    Beyond it, min-label propagation in rounds, labels(node, label)
+    co-partitioned by node. Each round fetches every edge endpoint's
+    label with one inner :func:`engine.joins.lookup` (int64 on both of
+    its routes: broadcast at most ``joins.BROADCAST_MAX_KEYS`` labels,
+    else hash join), sends it to the other endpoint and takes the
+    per-node min with the current label. Labels never increase, so the
+    convergence check is one scalar sum per round. Rounds needed =
+    graph diameter (dup clusters are shallow: pairs share LSH buckets).
+    """
+    import ray.data as rd
+
+    from engine import joins
     from engine.shuffle import conform_blocks, keyed_partition_map
 
     pairs = conform_blocks(
         pairs, pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
     )
-
-    def to_nodes(b: pa.Table) -> pa.Table:
-        a = b["id_a"].to_numpy(zero_copy_only=False)
-        bb = b["id_b"].to_numpy(zero_copy_only=False)
-        node = np.concatenate([a, bb])
-        return pa.table({"node": pa.array(node), "label": pa.array(node)})
-
     edges = pairs.materialize()
     n_edges = edges.count()  # scalar — no data reaches the driver
     out_schema = pa.schema([("doc_id", pa.int64()), ("group_id", pa.int64())])
     if n_edges == 0:
         # typed, so a consumer's join sees int64 columns, not no schema
-        import ray.data as rd
-
         return rd.from_arrow(out_schema.empty_table())
-    # Fast path: a dup graph that fits one worker's heap converges in
-    # a SINGLE task (vectorized union-find with pointer jumping inside
-    # the worker — not on the driver). The round-based propagation
-    # below costs ~3 s of fixed Ray overhead per round (two groupby
-    # shuffles + a sum), which a 300-edge graph should never pay; the
-    # rounds path remains the scale route for graphs beyond one heap.
-    if n_edges <= 5_000_000 and not force_rounds:
+    if n_edges <= CC_LOCAL_MAX_EDGES:
 
         def cc_whole(df: pd.DataFrame) -> pd.DataFrame:
             a = df["id_a"].to_numpy()
@@ -836,12 +833,17 @@ def connected_components_distributed(
     # per ~20k edges keeps every round a handful of tasks while
     # preserving the co-partitioned shape at any scale.
     num_partitions = min(num_partitions, max(1, n_edges // 20_000 + 1))
-    labels = keyed_partition_map(
-        edges.map_batches(to_nodes, batch_format="pyarrow"),
-        ["node"],
-        lambda df: df.groupby("node", sort=False)["label"].min().reset_index(),
-        num_partitions=num_partitions,
-    ).materialize()
+    label_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+
+    def min_label(ds: Dataset) -> Dataset:
+        return keyed_partition_map(
+            ds,
+            ["node"],
+            lambda df: df.groupby("node", sort=False)["label"].min().reset_index(),
+            num_partitions=num_partitions,
+            out_schema=label_schema,
+        ).materialize()
+
     def edge_msgs(b: pa.Table) -> pa.Table:
         a = b["id_a"].to_numpy(zero_copy_only=False)
         bb = b["id_b"].to_numpy(zero_copy_only=False)
@@ -854,6 +856,12 @@ def connected_components_distributed(
 
     # Loop-invariant: the endpoint fan-out depends only on the edges.
     endpoint = edges.map_batches(edge_msgs, batch_format="pyarrow").materialize()
+    labels = min_label(
+        endpoint.map_batches(
+            lambda b: pa.table({"node": b["node"], "label": b["node"]}),
+            batch_format="pyarrow",
+        )
+    )
 
     prev_sum = None
     converged = False
@@ -864,54 +872,16 @@ def connected_components_distributed(
     # iterating past max_rounds with a warning, and refuse to return
     # unconverged labels at the absolute cap.
     for _round in range(max_rounds * 4):
-        # One round: for each edge emit (id_b, label(id_a)) and
-        # (id_a, label(id_b)). The label lookup is a co-group: label
-        # rows and edge-endpoint rows hash-partition by node, resolve
-        # inside each partition, then per-node min with current labels.
-        def tag_label(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "other": pa.nulls(b.num_rows, pa.int64()),
-                    "label": b["label"],
-                }
+        # One round: every endpoint's label goes to the other endpoint.
+        msgs = joins.lookup(endpoint, labels, "node", how="inner", take=["label"])
+        labels = min_label(
+            labels.union(
+                msgs.map_batches(
+                    lambda b: pa.table({"node": b["other"], "label": b["label"]}),
+                    batch_format="pyarrow",
+                )
             )
-
-        def tag_endpoint(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "other": b["other"],
-                    "label": pa.nulls(b.num_rows, pa.int64()),
-                }
-            )
-
-        both = labels.map_batches(tag_label, batch_format="pyarrow").union(
-            endpoint.map_batches(tag_endpoint, batch_format="pyarrow")
         )
-
-        def resolve(df: pd.DataFrame) -> pd.DataFrame:
-            # Rows with label set are the label table; rows with other
-            # set are edge endpoints wanting (other <- label[node]).
-            lab = df.loc[df["label"].notna(), ["node", "label"]]
-            ep = df.loc[df["other"].notna(), ["node", "other"]]
-            m = ep.merge(lab, on="node", how="inner")
-            return pd.DataFrame(
-                {
-                    "node": m["other"].astype(np.int64).to_numpy(),
-                    "label": m["label"].astype(np.int64).to_numpy(),
-                }
-            )
-
-        msgs_ds = keyed_partition_map(both, ["node"], resolve, num_partitions=num_partitions)
-
-        merged = labels.union(msgs_ds)
-        labels = keyed_partition_map(
-            merged,
-            ["node"],
-            lambda df: df.groupby("node", sort=False)["label"].min().reset_index(),
-            num_partitions=num_partitions,
-        ).materialize()
         s = labels.sum("label")
         rounds_run += 1
         if s == prev_sum:
@@ -933,14 +903,8 @@ def connected_components_distributed(
             f"reach a fixed point in {rounds_run} rounds — returning labels "
             f"would silently mislabel deep components"
         )
-    out = labels.map_batches(
-        lambda b: (
-            b.rename_columns(["doc_id", "group_id"]) if b.num_columns == 2 else b
-        ),
-        batch_format="pyarrow",
-    )
-    return conform_blocks(
-        out, pa.schema([("doc_id", pa.int64()), ("group_id", pa.int64())])
+    return labels.map_batches(
+        lambda b: b.rename_columns(out_schema.names), batch_format="pyarrow"
     )
 
 
@@ -1519,6 +1483,47 @@ def content_digests(txt: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.nda
 _LINE_NO_BITS = 20  # drop keys pack as doc_id << 20 | line_no
 
 
+def _doc_blobs(
+    keys: Dataset, col: str, bits: int, id_col: str, num_partitions: int
+) -> Dataset:
+    """Pack a materialized set of ``doc_id << bits | pos`` keys into one
+    row per doc: ``id_col`` and ``_blob``, the doc's positions in
+    ascending order as int64 bytes. The partition count follows the
+    key count (``shuffle.merge_partitions``), so a small set packs in
+    one task."""
+    from engine.shuffle import keyed_partition_map, merge_partitions
+
+    def add_doc(b: pa.Table) -> pa.Table:
+        return b.append_column("_doc", pa.array(b[col].to_numpy(zero_copy_only=False) >> bits))
+
+    def pack(df: pd.DataFrame) -> pd.DataFrame:
+        k = np.sort(df[col].to_numpy())
+        doc, pos = k >> bits, k & ((1 << bits) - 1)
+        starts = np.flatnonzero(np.diff(doc, prepend=-1))
+        ends = np.append(starts[1:], len(k))
+        blobs = [pos[s:e].tobytes() for s, e in zip(starts, ends)]
+        return pd.DataFrame({id_col: doc[starts], "_blob": blobs})
+
+    return keyed_partition_map(
+        keys.map_batches(add_doc, batch_format="pyarrow"),
+        ["_doc"],
+        pack,
+        merge_partitions(keys.count(), num_partitions),
+        out_schema=pa.schema([(id_col, pa.int64()), ("_blob", pa.binary())]),
+    )
+
+
+def _blob_positions(blob) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``_doc_blobs`` over one batch's ``_blob`` column (null
+    for a doc with nothing to drop): the batch row of every packed
+    position, and the position."""
+    import pyarrow.compute as pc
+
+    n_per = pc.fill_null(pc.binary_length(blob), 0).to_numpy(zero_copy_only=False) // 8
+    pos = np.frombuffer(b"".join(blob.drop_null().to_pylist()), dtype=np.int64)
+    return np.repeat(np.arange(len(n_per)), n_per), pos
+
+
 def _doc_lines(
     text: pa.Array | pa.ChunkedArray, token_width: int | None
 ) -> tuple[pa.Array, np.ndarray]:
@@ -1587,47 +1592,41 @@ def line_dedup(
        after the group min) as packed int64 drop keys
        (doc_id << 20 | line_no; line_no bounded at 2^20, asserted);
        drop sets are duplicate-line-scale — sparse on real corpora;
-    3. rebuild scan — drop keys broadcast once (ray.put + per-block
-       searchsorted, the contamination_flags pattern); each doc block
-       re-derives its lines LOCALLY and rejoins the kept ones. Doc
-       text never moves; only digests and drop keys do. The route
-       is the ``engine.joins`` rule: at most
-       ``joins.BROADCAST_MAX_KEYS`` drop keys -> broadcast; beyond
-       it the BEYOND-BROADCAST path engages instead: drop keys co-group
-       per doc into one packed int64 blob row (duplicate-doc-scale),
-       a bucketed :func:`engine.joins.hash_join` LEFT-joins the corpus
-       against that blob table on doc id (one doc-keyed reassembly
-       shuffle — the only path in which doc text moves, and only
-       once), and the rebuild decodes each doc's own blob locally.
-       Bloom is NOT valid for this anti semantics (false positives
-       would delete innocent lines); the join is exact.  Both paths
-       are bit-identical (tests/test_swap_paths.py route parity).
+    3. rebuild — the drop keys pack into one blob row per doc that
+       has drops (``_doc_blobs``: duplicate-doc-scale, one task when
+       small), the corpus's (id, text) columns meet the blobs in one
+       left :func:`engine.joins.lookup` on doc id, and each block
+       re-derives its lines locally and rejoins the kept ones. Only
+       digests and drop keys shuffle, and doc text moves only on the
+       lookup's partition route.
+
+    Route: the ``engine.joins`` rule, counted in drop positions (the
+    blob bytes) rather than docs — at most ``joins.BROADCAST_MAX_KEYS``
+    drop keys -> the blobs broadcast and doc text never moves; beyond
+    it the lookup hash-joins the corpus with the blobs (one doc-keyed
+    shuffle). Bloom is NOT valid here (false positives would delete
+    innocent lines); the join is exact. Both routes are bit-identical
+    (tests/test_swap_paths.py route parity).
     """
-    import ray
     import pyarrow.compute as pc
 
     from engine import joins
     from engine.shuffle import keyed_partition_map
 
-    def _check_ids(idv: np.ndarray) -> None:
-        # Packed drop keys are doc_id << 20 | line_no: a doc_id outside
-        # [0, 2^43) would overflow int64 and wrapped keys could collide
-        # across documents — rebuild() would then silently delete lines
-        # from innocent docs. Fail loudly instead (same policy as the
-        # line_no bound).
-        if len(idv) and (idv.min() < 0 or idv.max() >= (1 << (63 - _LINE_NO_BITS))):
-            raise ValueError(
-                f"{id_col} must be in [0, 2^{63 - _LINE_NO_BITS}) for key packing"
-            )
-
     def digest_stage(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         ids = b[id_col]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
         idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-        _check_ids(idv)
+        # Packed drop keys are doc_id << 20 | line_no: a doc_id outside
+        # [0, 2^43) would overflow int64 and wrapped keys could collide
+        # across documents — the rebuild would then silently delete
+        # lines from innocent docs. Fail loudly instead (same policy as
+        # the line_no bound).
+        if len(idv) and (idv.min() < 0 or idv.max() >= (1 << (63 - _LINE_NO_BITS))):
+            raise ValueError(
+                f"{id_col} must be in [0, 2^{63 - _LINE_NO_BITS}) for key packing"
+            )
         lines, nl = _doc_lines(b[text_col], token_width)
         if int(nl.max(initial=0)) >= (1 << _LINE_NO_BITS):
             raise ValueError(f"doc exceeds {1 << _LINE_NO_BITS} lines")
@@ -1672,112 +1671,37 @@ def line_dedup(
         out_schema=pa.schema([("drop_key", pa.int64())]),
     ).materialize()
 
-    def _finish(ids: pa.Array, nl: np.ndarray, lines, dropped: np.ndarray):
+    # The broadcast bound is on drop positions (blob bytes), not docs.
+    joined = joins.lookup(
+        ds.select_columns([id_col, text_col]),
+        _doc_blobs(drop_ds, "drop_key", _LINE_NO_BITS, id_col, num_partitions),
+        id_col,
+        how="left",
+        take=["_blob"],
+        max_broadcast=None if drop_ds.count() <= joins.BROADCAST_MAX_KEYS else 0,
+    )
+
+    def rebuild(b: pa.Table) -> pa.Table:
+        lines, nl = _doc_lines(b[text_col], token_width)
+        row, line_no = _blob_positions(b["_blob"])
+        dropped = np.zeros(len(lines), dtype=bool)
+        dropped[np.concatenate([[0], np.cumsum(nl)[:-1]])[row] + line_no] = True
         kept = lines.filter(pa.array(~dropped))
-        n_drop = np.bincount(
-            np.repeat(np.arange(len(nl)), nl)[dropped], minlength=len(nl)
-        ).astype(np.int64)
-        kept_nl = nl - n_drop
+        n_drop = np.bincount(row, minlength=len(nl)).astype(np.int64)
         offsets = np.append(
-            np.concatenate([[0], np.cumsum(kept_nl)[:-1]]), len(kept)
+            np.concatenate([[0], np.cumsum(nl - n_drop)[:-1]]), len(kept)
         ).astype(np.int32)
         lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), kept)
-        text_dedup = pc.binary_join(lists, "\n")
         return pa.table(
             {
-                id_col: ids,
+                id_col: b[id_col],
                 "n_lines": pa.array(nl),
                 "n_dropped": pa.array(n_drop),
-                "text_dedup": pc.fill_null(text_dedup, ""),
+                "text_dedup": pc.fill_null(pc.binary_join(lists, "\n"), ""),
             }
         )
 
-    if drop_ds.count() > joins.BROADCAST_MAX_KEYS:
-        # Beyond-broadcast path: per-doc blob of dropped line numbers,
-        # bucketed left hash join on doc id, local blob decode.
-        def add_doc(b: pa.Table) -> pa.Table:
-            dk = b["drop_key"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "_doc", pa.array((dk >> _LINE_NO_BITS).astype(np.int64))
-            )
-
-        tagged = drop_ds.map_batches(add_doc, batch_format="pyarrow")
-
-        def pack(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return pd.DataFrame({id_col: pd.Series(dtype=np.int64),
-                                     "_drop_blob": pd.Series(dtype=object)})
-            dk = np.sort(df["drop_key"].to_numpy())
-            doc = (dk >> _LINE_NO_BITS).astype(np.int64)
-            ln = (dk & ((1 << _LINE_NO_BITS) - 1)).astype(np.int64)
-            change = np.concatenate([[True], doc[1:] != doc[:-1]])
-            starts = np.flatnonzero(change)
-            counts = np.diff(np.append(starts, len(doc)))
-            blobs = [
-                ln[s : s + c].tobytes() for s, c in zip(starts, counts)
-            ]
-            return pd.DataFrame({id_col: doc[starts], "_drop_blob": blobs})
-
-        drop_tbl = keyed_partition_map(
-            tagged,
-            ["_doc"],
-            pack,
-            num_partitions=num_partitions,
-            out_schema=pa.schema([(id_col, pa.int64()), ("_drop_blob", pa.binary())]),
-        )
-        joined = joins.hash_join(
-            ds.select_columns([id_col, text_col]), drop_tbl, id_col, how="left"
-        )
-
-        def rebuild_join(b: pa.Table) -> pa.Table:
-            ids = b[id_col]
-            if isinstance(ids, pa.ChunkedArray):
-                ids = ids.combine_chunks()
-            idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-            _check_ids(idv)
-            lines, nl = _doc_lines(b[text_col], token_width)
-            blobs = b["_drop_blob"].to_pylist()
-            n_per = np.array(
-                [0 if x is None else len(x) // 8 for x in blobs], dtype=np.int64
-            )
-            dropped = np.zeros(len(lines), dtype=bool)
-            if n_per.sum():
-                flat_ln = np.frombuffer(
-                    b"".join(x for x in blobs if x), dtype=np.int64
-                )
-                nl_start = np.concatenate([[0], np.cumsum(nl)[:-1]])
-                row_of = np.repeat(np.arange(len(blobs)), n_per)
-                dropped[nl_start[row_of] + flat_ln] = True
-            return _finish(ids, nl, lines, dropped)
-
-        return joined.map_batches(rebuild_join, batch_format="pyarrow")
-
-    parts = [
-        b["drop_key"].to_numpy(zero_copy_only=False)
-        for b in drop_ds.iter_batches(batch_format="pyarrow")
-    ]
-    drops = np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
-    ref = ray.put(drops)
-
-    def rebuild(b: pa.Table) -> pa.Table:
-        dr = ray.get(ref)
-        ids = b[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-        _check_ids(idv)
-        lines, nl = _doc_lines(b[text_col], token_width)
-        nl_start = np.concatenate([[0], np.cumsum(nl)[:-1]])
-        line_no = np.arange(len(lines), dtype=np.int64) - np.repeat(nl_start, nl)
-        keys = (np.repeat(idv, nl) << _LINE_NO_BITS) | line_no
-        if len(dr) and len(keys):
-            pos = np.clip(np.searchsorted(dr, keys), 0, len(dr) - 1)
-            dropped = dr[pos] == keys
-        else:
-            dropped = np.zeros(len(keys), dtype=bool)
-        return _finish(ids, nl, lines, dropped)
-
-    return ds.map_batches(rebuild, batch_format="pyarrow")
+    return joined.map_batches(rebuild, batch_format="pyarrow")
 
 
 # ------------------------------------------- incremental exact dedup
@@ -2072,20 +1996,18 @@ def exact_substring_dedup(
        emits the rest as removal spans; within-subset group sizes
        equal global counts because an h1 match takes ALL of a
        digest's occurrences or none.
-    3. REBUILD, broadcast + local (the line_dedup contract): removal
-       span keys (doc_id << 21 | start, deduped + sorted) broadcast
-       once via ray.put; a final map pass over the corpus marks
-       covered positions with a difference array (+1 at start, -1 at
-       min(start+L, n)) and rebuilds kept text zero-copy (ListArray
-       offsets + binary_join).
-
-    Beyond ``joins.BROADCAST_MAX_KEYS`` removal spans, pass 3 swaps
-    to its co-partitioned variant: the spans co-group per doc into
-    one packed int64 blob row joined back on doc id via
-    :func:`engine.joins.hash_join` (the line_dedup reassembly shape —
-    the only path where doc text enters a shuffle, once). Each pass
-    routes by its own size; both routes are bit-identical
-    (tests/test_swap_paths.py route parity).
+    3. REBUILD (the line_dedup shape): the removal span keys
+       (doc_id << 21 | start) pack into one blob row per doc that has
+       spans (``_doc_blobs``), the corpus's (id, text) columns meet the
+       blobs in one left :func:`engine.joins.lookup` on doc id, and a
+       final map pass marks covered positions with a difference array
+       (+1 at start, -1 at min(start+L, n)) and rebuilds kept text
+       zero-copy (ListArray offsets + binary_join). The route counts
+       removal spans (the blob bytes), not docs: at most
+       ``joins.BROADCAST_MAX_KEYS`` -> the blobs broadcast and doc text
+       never moves; beyond it one doc-keyed hash join. Each pass routes
+       by its own size; both routes are bit-identical
+       (tests/test_swap_paths.py route parity).
 
     Exactness is digest-level (two independent 64-bit rolling hashes,
     the dedup_documents/content_digests precedent); the DuckDB mirror
@@ -2101,7 +2023,6 @@ def exact_substring_dedup(
     2.2 GB driver RSS at P=64 vs 0.39 GB at P=16 on a 26M-digest
     corpus; production 128 MB blocks are immune).
     """
-    import ray
     import pyarrow.compute as pc
 
     from engine import joins
@@ -2162,124 +2083,44 @@ def exact_substring_dedup(
         out_schema=pa.schema([("span_key", pa.int64())]),
     ).materialize()
 
-    def _finish_sub(ids, counts: np.ndarray, flat, removed: np.ndarray):
+    # The broadcast bound is on removal spans (blob bytes), not docs.
+    joined = joins.lookup(
+        ds.select_columns([id_col, text_col]),
+        _doc_blobs(drop_ds, "span_key", _WIN_POS_BITS, id_col, num_partitions),
+        id_col,
+        how="left",
+        take=["_blob"],
+        max_broadcast=None if drop_ds.count() <= joins.BROADCAST_MAX_KEYS else 0,
+    )
+
+    def rebuild(b: pa.Table) -> pa.Table:
+        flat, counts = _doc_tokens_arrow(b[text_col])
+        total = int(counts.sum())
+        row, s = _blob_positions(b["_blob"])
+        # difference array: +1 at each span start, -1 at its clipped end
+        doc_start = np.concatenate([[0], np.cumsum(counts)[:-1]])[row]
+        diff = np.zeros(total + 1, dtype=np.int64)
+        np.add.at(diff, doc_start + s, 1)
+        np.add.at(diff, doc_start + np.minimum(s + L, counts[row]), -1)
+        removed = np.cumsum(diff[:-1]) > 0
         kept = flat.filter(pa.array(~removed))
         n_rm = np.bincount(
-            np.repeat(np.arange(len(counts)), counts)[removed],
-            minlength=len(counts)).astype(np.int64)
-        kept_n = counts - n_rm
-        offsets = np.append(
-            np.concatenate([[0], np.cumsum(kept_n)[:-1]]), len(kept)
+            np.repeat(np.arange(len(counts)), counts)[removed], minlength=len(counts)
         ).astype(np.int64)
-        lists = pa.ListArray.from_arrays(
-            pa.array(offsets.astype(np.int32), pa.int32()), kept)
+        offsets = np.append(
+            np.concatenate([[0], np.cumsum(counts - n_rm)[:-1]]), len(kept)
+        ).astype(np.int32)
+        lists = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), kept)
         kept_text = pc.fill_null(pc.binary_join(lists, " "), "")
         return pa.table({
-            id_col: ids,
+            id_col: b[id_col],
             "n_toks": pa.array(counts),
             "n_removed": pa.array(n_rm),
             "kept_text": kept_text,
             "kept_chars": pc.cast(pc.utf8_length(kept_text), pa.int64()),
         })
 
-    if drop_ds.count() > joins.BROADCAST_MAX_KEYS:
-        # Beyond-broadcast spans: per-doc blob of local start positions,
-        # bucketed left hash join on doc id, local difference-array mark.
-        def add_doc(b: pa.Table) -> pa.Table:
-            sk = b["span_key"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "_doc", pa.array((sk >> _WIN_POS_BITS).astype(np.int64))
-            )
-
-        tagged = drop_ds.map_batches(add_doc, batch_format="pyarrow")
-
-        def pack(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return pd.DataFrame({id_col: pd.Series(dtype=np.int64),
-                                     "_span_blob": pd.Series(dtype=object)})
-            sk = np.sort(df["span_key"].to_numpy())
-            doc = (sk >> _WIN_POS_BITS).astype(np.int64)
-            st = (sk & ((1 << _WIN_POS_BITS) - 1)).astype(np.int64)
-            change = np.concatenate([[True], doc[1:] != doc[:-1]])
-            starts = np.flatnonzero(change)
-            cnts = np.diff(np.append(starts, len(doc)))
-            blobs = [st[s : s + c].tobytes() for s, c in zip(starts, cnts)]
-            return pd.DataFrame({id_col: doc[starts], "_span_blob": blobs})
-
-        span_tbl = keyed_partition_map(
-            tagged, ["_doc"], pack, num_partitions=num_partitions,
-            out_schema=pa.schema(
-                [(id_col, pa.int64()), ("_span_blob", pa.binary())]
-            ),
-        )
-        joined = joins.hash_join(
-            ds.select_columns([id_col, text_col]), span_tbl, id_col, how="left"
-        )
-
-        def rebuild_join(b: pa.Table) -> pa.Table:
-            ids = b[id_col]
-            if isinstance(ids, pa.ChunkedArray):
-                ids = ids.combine_chunks()
-            flat, counts = _doc_tokens_arrow(b[text_col])
-            total = int(counts.sum())
-            doc_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            blobs = b["_span_blob"].to_pylist()
-            n_per = np.array(
-                [0 if x is None else len(x) // 8 for x in blobs], dtype=np.int64
-            )
-            removed = np.zeros(total, dtype=bool)
-            if n_per.sum():
-                s = np.frombuffer(
-                    b"".join(x for x in blobs if x), dtype=np.int64
-                )
-                doc_of_sp = np.repeat(np.arange(len(blobs)), n_per)
-                ds_ = doc_starts[doc_of_sp]
-                e = np.minimum(s + L, counts[doc_of_sp])
-                diff = np.zeros(total + 1, dtype=np.int64)
-                np.add.at(diff, ds_ + s, 1)
-                np.add.at(diff, ds_ + e, -1)
-                removed = np.cumsum(diff[:-1]) > 0
-            return _finish_sub(ids, counts, flat, removed)
-
-        return joined.map_batches(rebuild_join, batch_format="pyarrow")
-
-    parts = [
-        b["span_key"].to_numpy(zero_copy_only=False)
-        for b in drop_ds.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    spans = np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
-    span_ref = ray.put(spans)
-
-    def rebuild(b: pa.Table) -> pa.Table:
-        sp = ray.get(span_ref)
-        ids = b[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        idv = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-        flat, counts = _doc_tokens_arrow(b[text_col])
-        total = int(counts.sum())
-        doc_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        removed = np.zeros(total, dtype=bool)
-        if len(sp) and len(idv):
-            lo = np.searchsorted(sp, idv << _WIN_POS_BITS)
-            hi = np.searchsorted(sp, (idv + 1) << _WIN_POS_BITS)
-            n_sp = hi - lo
-            if n_sp.sum():
-                doc_of_sp = np.repeat(np.arange(len(idv)), n_sp)
-                sp_starts = np.concatenate([[0], np.cumsum(n_sp)[:-1]])
-                idx = (np.arange(int(n_sp.sum()), dtype=np.int64)
-                       - np.repeat(sp_starts, n_sp) + np.repeat(lo, n_sp))
-                sp_local = sp[idx]
-                s = (sp_local & ((1 << _WIN_POS_BITS) - 1))
-                ds_ = doc_starts[doc_of_sp]
-                e = np.minimum(s + L, counts[doc_of_sp])
-                diff = np.zeros(total + 1, dtype=np.int64)
-                np.add.at(diff, ds_ + s, 1)
-                np.add.at(diff, ds_ + e, -1)
-                removed = np.cumsum(diff[:-1]) > 0
-        return _finish_sub(ids, counts, flat, removed)
-
-    return ds.map_batches(rebuild, batch_format="pyarrow")
+    return joined.map_batches(rebuild, batch_format="pyarrow")
 
 
 # ---------------------------------------- incremental MinHash near-dup (X50)

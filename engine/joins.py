@@ -22,10 +22,10 @@ rows with the same types; only the row order differs.
 The legs, also used directly:
 
 - ``hash_join``: partitioned hash join for two large sides: add
-  ``bucket = hash(key) % B`` to both, co-group with a single
-  ``groupby("bucket").map_groups`` doing an Arrow-native join per
-  bucket (int64-exact; pandas merges cast null-filled int columns to
-  float64 and corrupt 62-bit ids). Keys are hashable ints/strings;
+  ``bucket = hash(key) % B`` to both, range-partition the union on
+  the bucket (one partition per bucket) and run an Arrow-native join
+  per partition (int64-exact; pandas merges cast null-filled int
+  columns to float64 and corrupt 62-bit ids). Keys are hashable ints/strings;
   hot keys should be salted (``salted_hash_join``). The union of
   tagged sides is the "Joins over UNION ALL" shape (SIGMOD 2018).
 - ``broadcast_lookup``: map-side join against a small Arrow table the
@@ -215,10 +215,14 @@ def hash_join(
 ) -> Dataset:
     """Partitioned hash join of two Datasets on an equality key.
 
-    Tags each side, buckets rows by ``hash(key) % B``, co-groups the
-    union by bucket, and merges each bucket with an Arrow-native join.
-    One shuffle total; B bounds per-group memory (size B so the
-    largest bucket of the bigger side fits a worker heap).
+    Tags each side, buckets rows by ``hash(key) % B``, range-partitions
+    the union on the bucket with fixed boundaries (whole buckets per
+    partition, as many partitions as input blocks and at most B; no
+    boundary sampling), and merges each partition with an Arrow-native
+    join. One shuffle total; a partition holds ~1/P of the union (raise
+    B, or the input's block count, until the largest partition fits a
+    worker heap). Every output block carries the declared schema: left
+    columns, then right non-key columns.
 
     Width note: the union requires both sides to carry the UNION
     schema, so each side ships all-null fixed-width padding for the
@@ -228,6 +232,7 @@ def hash_join(
     join — or broadcast_lookup when one side fits in the object
     store, which moves no padding at all."""
 
+    num_buckets = max(num_buckets, 2)  # the fixed boundaries need two partitions
     l_schema = left.schema()
     r_schema = right.schema()
     for side, s in (("left", l_schema), ("right", r_schema)):
@@ -266,7 +271,25 @@ def hash_join(
     order = [key] + [c for c in l_cols if c != key] + [c for c in r_cols if c != key] + ["_bucket", "_side"]
     lt = left.map_batches(tag("l", {c: r_types[c] for c in r_cols if c != key}), batch_format="pyarrow").select_columns(order)
     rt = right.map_batches(tag("r", {c: l_types[c] for c in l_cols if c != key}), batch_format="pyarrow").select_columns(order)
-    both = lt.union(rt)
+    # One all-null row per bucket, on neither side: every partition then
+    # has a row, so merge runs on it (Ray passes an empty partition on
+    # as a zero-column block without calling the function).
+    pad = pa.table(
+        {
+            **{c: pa.nulls(num_buckets, l_types.get(c, r_types.get(c))) for c in order[:-2]},
+            "_bucket": pa.array(np.arange(num_buckets, dtype=np.int32)),
+            "_side": pa.array(["x"] * num_buckets),
+        }
+    )
+    # As many partitions as input blocks, as Ray's own sort picks (more
+    # would shrink the map side's sub-blocks below Ray's 100 KB inline
+    # limit, parking them in the driver's heap), at most one per bucket;
+    # fixed boundaries, so no sampling pass.
+    n_in = sum(d._plan.initial_num_blocks() or num_buckets for d in (lt, rt))
+    parts = max(2, min(num_buckets, n_in))  # no boundaries would mean sampling
+    both = lt.union(rt, ray.data.from_arrow(pad)).sort(
+        "_bucket", boundaries=[j * num_buckets // parts for j in range(1, parts)]
+    )
 
     arrow_how = {"inner": "inner", "left": "left outer", "right": "right outer", "outer": "full outer"}[how]
 
@@ -285,7 +308,7 @@ def hash_join(
         out = l.join(r, keys=key, join_type=arrow_how)
         return out.select(l_cols + [c for c in r_cols if c != key])
 
-    return both.groupby("_bucket").map_groups(merge, batch_format="pyarrow")
+    return both.map_batches(merge, batch_size=None, batch_format="pyarrow")
 
 
 def semi_filter(ds: Dataset, keys: np.ndarray, key: str, anti: bool = False) -> Dataset:

@@ -139,6 +139,14 @@ def _combine_batch(
     return out.rename_columns([mapping.get(n, n) for n in out.column_names])
 
 
+def merge_partitions(rows: int, num_partitions: int) -> int:
+    """Partition count for a keyed merge of ``rows`` rows: each
+    partition wants at least ``MERGE_PARTITION_ROWS`` rows before its
+    fixed cost amortizes, so a small input merges in one task (count
+    is free on a materialized set)."""
+    return max(1, min(num_partitions, rows // MERGE_PARTITION_ROWS))
+
+
 def grouped_count_sums(
     ds: Dataset,
     key: str | Sequence[str],
@@ -196,11 +204,6 @@ def grouped_count_sums(
         ),
     ).materialize()
 
-    def merge_partitions(rows: Dataset) -> int:
-        # Each merge partition wants >= MERGE_PARTITION_ROWS rows before
-        # its fixed cost amortizes (count is free on a materialized set).
-        return max(1, min(num_partitions, rows.count() // MERGE_PARTITION_ROWS))
-
     def merge(df: pd.DataFrame, by: list[str]) -> pd.DataFrame:
         agg: dict[str, tuple] = {"_cnt": ("_cnt", "sum")}
         for c in sum_all:
@@ -211,7 +214,7 @@ def grouped_count_sums(
             agg[f"_max_{c}"] = (f"_max_{c}", "max")
         return df.groupby(by, sort=False, dropna=False).agg(**agg).reset_index()
 
-    parts = merge_partitions(partials)
+    parts = merge_partitions(partials.count(), num_partitions)
     if parts > 1:
         if salts == "auto":
             hist = sampled_key_histogram(ds, keys[0])
@@ -242,7 +245,7 @@ def grouped_count_sums(
                 )
                 .materialize()
             )
-            parts = merge_partitions(partials)
+            parts = merge_partitions(partials.count(), num_partitions)
 
     def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
         g = merge(df, keys)

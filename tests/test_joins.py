@@ -270,6 +270,27 @@ def test_hash_join_outer_modes_match_pandas():
     assert row7["rv"][0].as_py() == big + 1
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_hash_join_blocks_carry_declared_schema():
+    """Every output block of hash_join, empty buckets included, has the
+    declared columns (left, then right non-key) and their types."""
+    import ray
+    import ray.data as rd
+
+    from engine.joins import hash_join
+
+    left = pa.table({"k": pa.array([1, 2], pa.int64()), "lv": pa.array(["a", "b"])})
+    right = pa.table({"k": pa.array([2, 3], pa.int64()), "rv": pa.array([0.5, 1.5])})
+    want = pa.schema([("k", pa.int64()), ("lv", pa.string()), ("rv", pa.float64())])
+    for how in ("inner", "left"):
+        out = hash_join(
+            rd.from_arrow(left).repartition(2), rd.from_arrow(right).repartition(2), "k", how=how
+        )
+        blocks = [pa.table(b) for b in ray.get(out.materialize().to_arrow_refs())]
+        assert blocks and all(b.schema.remove_metadata() == want for b in blocks), how
+        assert sum(b.num_rows for b in blocks) == (1 if how == "inner" else 2)
+
+
 def test_revenue_by_nation_matches_duckdb_oracle(ray_session):
     """X34 Q5-shaped six-table join pipeline vs the straight SQL."""
     import duckdb

@@ -13,7 +13,9 @@ types included. Its sites:
   build side) and its callers: flag_join, candidate_docs,
   crawl_ingest, web_refresh, canonical_url_dedup, cooc_lift;
 - the operators that fuse the probe into their own payload:
-  line_dedup, exact_substring_dedup, jaccard_similarity_join_prefix
+  line_dedup and exact_substring_dedup (with and without drops),
+  connected_components_distributed's rounds (pinning
+  ``dedupe.CC_LOCAL_MAX_EDGES`` to 0), jaccard_similarity_join_prefix
   (shingle-df map), bpe_token_counts (with driver-local and with
   distributed training, pinning ``bpe.LOCAL_VOCAB_LIMIT``),
   robots_filter (host-prefix rules), snapshot_merge (changelog
@@ -98,6 +100,7 @@ _UNIQUE_BUILD = pa.table(
     }
 )
 _ROUTES = {"broadcast": 1 << 40, "partition": 0}
+_CC_BASE = (1 << 60) + 1  # exact only as int64
 # Expected probe rows (``p``) and appended column per direct case.
 _EXPECTED = {
     "semi_nulls": {"p": [1, 4, 5, 8]},
@@ -112,6 +115,12 @@ _EXPECTED = {
     "candidate_docs": {"doc_id": [3, 7, 9, 12]},
     "minhash_dedup_verdict": {"keep": [i not in (60, 61) for i in range(62)]},
     "minhash_dedup_verdict_no_dups": {"keep": [True] * 60},
+    "line_dedup_no_dups": {"n_dropped": [0] * 40},
+    "exact_substring_dedup_no_dups": {"n_removed": [0] * 40},
+    # doc ids 1 2 3 4 7 10 11 12 40 100 B B+2 B+4 (B = 2^60 + 1)
+    "connected_components_rounds": {
+        "group_id": [1] * 4 + [7] + [10] * 3 + [7, 7] + [_CC_BASE] * 3
+    },
     # the first ten are copies of indexed docs, the rest are fresh
     "incremental_minhash_dedup": {"keep": [False] * 10 + [True] * 10},
 }
@@ -199,6 +208,36 @@ def _line_dedup(request):
 def _substr_dedup(request):
     ds = request.getfixturevalue("token_docs_ds")
     return exact_substring_dedup(ds, L=8, num_partitions=4), ["doc_id"]
+
+
+def _unique_docs_ds() -> rd.Dataset:
+    # every line and every 8-token window occurs once: no drops, so
+    # the blob table that meets the corpus is empty
+    texts = ["\n".join(f"d{i} l{j} " + " ".join(f"t{i}x{j}x{k}" for k in range(9))
+                       for j in range(3)) for i in range(40)]
+    t = pa.table({"doc_id": pa.array(np.arange(40, dtype=np.int64)), "text": pa.array(texts)})
+    return rd.from_arrow(t).repartition(3)
+
+
+def _line_dedup_no_dups(request):
+    return line_dedup(_unique_docs_ds(), num_partitions=5), ["doc_id"]
+
+
+def _substr_dedup_no_dups(request):
+    return exact_substring_dedup(_unique_docs_ds(), L=8, num_partitions=4), ["doc_id"]
+
+
+def _connected_components_rounds(request):
+    import engine.dedupe as dedupe
+
+    # 0 sends every graph to the rounds, whose label fetch is a lookup
+    request.getfixturevalue("monkeypatch").setattr(dedupe, "CC_LOCAL_MAX_EDGES", 0)
+    edges = [(1, 2), (2, 3), (3, 4), (10, 11), (11, 12), (12, 10), (100, 7), (7, 40),
+             (_CC_BASE, _CC_BASE + 2), (_CC_BASE + 2, _CC_BASE + 4)]
+    pairs = pa.table({"id_a": pa.array([a for a, _ in edges], pa.int64()),
+                      "id_b": pa.array([b for _, b in edges], pa.int64())})
+    out = dedupe.connected_components_distributed(rd.from_arrow(pairs).repartition(3), num_partitions=4)
+    return out, ["doc_id"]
 
 
 def _jaccard_prefix(request):
@@ -297,6 +336,9 @@ _SITES = {
     "cooc_lift_empty": _cooc_lift_empty,
     "line_dedup": _line_dedup,
     "exact_substring_dedup": _substr_dedup,
+    "line_dedup_no_dups": _line_dedup_no_dups,
+    "exact_substring_dedup_no_dups": _substr_dedup_no_dups,
+    "connected_components_rounds": _connected_components_rounds,
     "jaccard_prefix": _jaccard_prefix,
     "bpe_token_counts_local": _bpe_token_counts(1 << 40),
     "bpe_token_counts_distributed": _bpe_token_counts(0),

@@ -273,16 +273,31 @@ def test_minhash_dedup_verdict_end_to_end():
     assert v.keep.sum() == len(v) - 2
 
 
-def test_connected_components_distributed_matches_driver(ray_session):
+def _cc_both_paths(edges, monkeypatch):
+    """``connected_components_distributed`` on ``edges`` on the
+    one-task path and on the rounds path (``CC_LOCAL_MAX_EDGES`` pinned
+    to 0), each next to the driver oracle; values read through Arrow."""
+    pairs_pd = pd.DataFrame(
+        {"id_a": [a for a, b in edges], "id_b": [b for a, b in edges]}
+    ).astype(np.int64)
+    ids = np.unique(np.concatenate([pairs_pd.id_a.values, pairs_pd.id_b.values]))
+    want = dedupe.connected_components(pairs_pd, ids).sort_values("doc_id")
+    ds = rd.from_arrow(pa.Table.from_pandas(pairs_pd, preserve_index=False))
+    for local_max in (dedupe.CC_LOCAL_MAX_EDGES, 0):
+        monkeypatch.setattr(dedupe, "CC_LOCAL_MAX_EDGES", local_max)
+        got = pa.concat_tables(
+            dedupe.connected_components_distributed(ds, num_partitions=4)
+            .iter_batches(batch_size=None, batch_format="pyarrow")
+        ).sort_by("doc_id")
+        assert got.schema == pa.schema([("doc_id", pa.int64()), ("group_id", pa.int64())])
+        assert got["doc_id"].to_pylist() == [int(i) for i in want["doc_id"]], local_max
+        assert got["group_id"].to_pylist() == [int(g) for g in want["group_id"]], local_max
+
+
+def test_connected_components_distributed_matches_driver(ray_session, monkeypatch):
     """Distributed min-label propagation == driver-side CC on a graph
-    with chains (multi-hop labels), a cycle, and singleton pairs."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from engine.dedupe import connected_components, connected_components_distributed
-
+    with chains (multi-hop labels), a cycle, and singleton pairs, on
+    both the single-task union-find path and the rounds path."""
     edges = [
         (1, 2), (2, 3), (3, 4), (4, 5),      # chain -> all label 1
         (10, 11), (11, 12), (12, 10),        # cycle -> label 10
@@ -290,25 +305,14 @@ def test_connected_components_distributed_matches_driver(ray_session):
         (30, 31), (31, 32), (30, 32),        # triangle
         (100, 7), (7, 40),                   # chain crossing id order
     ]
-    pairs_pd = pd.DataFrame(
-        {"id_a": [a for a, b in edges], "id_b": [b for a, b in edges]}
-    ).astype(np.int64)
-    ids = np.unique(np.concatenate([pairs_pd.id_a.values, pairs_pd.id_b.values]))
-    want = connected_components(pairs_pd, ids).sort_values("doc_id").reset_index(drop=True)
+    _cc_both_paths(edges, monkeypatch)
 
-    ds = rd.from_arrow(pa.Table.from_pandas(pairs_pd, preserve_index=False))
-    # Both execution paths must agree with the driver oracle: the
-    # single-task union-find fast path AND the groupby-rounds scale path.
-    for force_rounds in (False, True):
-        got = (
-            connected_components_distributed(
-                ds, num_partitions=4, force_rounds=force_rounds
-            )
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want.astype(np.int64))
+
+def test_connected_components_distributed_large_ids(ray_session, monkeypatch):
+    """Ids above 2^60 come back exact on both paths: a float64 round
+    trip would merge or invent neighbouring ids."""
+    b = (1 << 60) + 1
+    _cc_both_paths([(b, b + 2), (b + 2, b + 4), (b + 10, b + 13)], monkeypatch)
 
 
 def test_audio_stage_and_frame_sample(ray_session):
