@@ -873,15 +873,19 @@ def connected_components_distributed(
     # unconverged labels at the absolute cap.
     for _round in range(max_rounds * 4):
         # One round: every endpoint's label goes to the other endpoint.
-        msgs = joins.lookup(endpoint, labels, "node", how="inner", take=["label"])
-        labels = min_label(
-            labels.union(
-                msgs.map_batches(
-                    lambda b: pa.table({"node": b["other"], "label": b["label"]}),
-                    batch_format="pyarrow",
-                )
+        # The messages are materialized before min_label's shuffle: with
+        # the hash-join route left lazy, its sort and min_label's share
+        # one streaming plan that stalls (one round at 700k edges on a
+        # 1-CPU VM with 2 Ray CPUs: 184 s lazy, 4.8 s materialized).
+        msgs = (
+            joins.lookup(endpoint, labels, "node", how="inner", take=["label"])
+            .map_batches(
+                lambda b: pa.table({"node": b["other"], "label": b["label"]}),
+                batch_format="pyarrow",
             )
+            .materialize()
         )
+        labels = min_label(labels.union(msgs))
         s = labels.sum("label")
         rounds_run += 1
         if s == prev_sum:
@@ -1483,14 +1487,22 @@ def content_digests(txt: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.nda
 _LINE_NO_BITS = 20  # drop keys pack as doc_id << 20 | line_no
 
 
-def _doc_blobs(
-    keys: Dataset, col: str, bits: int, id_col: str, num_partitions: int
+def _join_blobs(
+    ds: Dataset, keys: Dataset, col: str, bits: int, id_col: str, text_col: str,
+    num_partitions: int,
 ) -> Dataset:
-    """Pack a materialized set of ``doc_id << bits | pos`` keys into one
-    row per doc: ``id_col`` and ``_blob``, the doc's positions in
-    ascending order as int64 bytes. The partition count follows the
-    key count (``shuffle.merge_partitions``), so a small set packs in
-    one task."""
+    """``ds``'s (``id_col``, ``text_col``) with ``_blob`` appended: the
+    doc's ``doc_id << bits | pos`` keys from the materialized ``keys``
+    as one int64-bytes blob of ascending positions, null for a doc with
+    none (``_blob_positions`` decodes it).
+
+    The keys pack into one row per doc in a partition count that follows
+    the key count (``shuffle.merge_partitions``), so a small set packs
+    in one task; the corpus meets the blobs through one left
+    ``joins.lookup``. Its broadcast bound is on positions (blob bytes),
+    not docs, so the lookup broadcasts at most
+    ``joins.BROADCAST_MAX_KEYS`` positions."""
+    from engine import joins
     from engine.shuffle import keyed_partition_map, merge_partitions
 
     def add_doc(b: pa.Table) -> pa.Table:
@@ -1504,24 +1516,46 @@ def _doc_blobs(
         blobs = [pos[s:e].tobytes() for s, e in zip(starts, ends)]
         return pd.DataFrame({id_col: doc[starts], "_blob": blobs})
 
-    return keyed_partition_map(
+    n_keys = keys.count()
+    blobs = keyed_partition_map(
         keys.map_batches(add_doc, batch_format="pyarrow"),
         ["_doc"],
         pack,
-        merge_partitions(keys.count(), num_partitions),
+        merge_partitions(n_keys, num_partitions),
         out_schema=pa.schema([(id_col, pa.int64()), ("_blob", pa.binary())]),
+    )
+    return joins.lookup(
+        ds.select_columns([id_col, text_col]),
+        blobs,
+        id_col,
+        how="left",
+        take=["_blob"],
+        max_broadcast=None if n_keys <= joins.BROADCAST_MAX_KEYS else 0,
     )
 
 
 def _blob_positions(blob) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``_doc_blobs`` over one batch's ``_blob`` column (null
-    for a doc with nothing to drop): the batch row of every packed
-    position, and the position."""
+    """Inverse of ``_join_blobs`` over one batch's ``_blob`` column:
+    the batch row of every packed position, and the position. Reads
+    the binary array's offsets and data buffers in place."""
     import pyarrow.compute as pc
 
-    n_per = pc.fill_null(pc.binary_length(blob), 0).to_numpy(zero_copy_only=False) // 8
-    pos = np.frombuffer(b"".join(blob.drop_null().to_pylist()), dtype=np.int64)
-    return np.repeat(np.arange(len(n_per)), n_per), pos
+    if isinstance(blob, pa.ChunkedArray):
+        blob = blob.combine_chunks()
+    if len(blob) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if blob.null_count:
+        # Arrow leaves a null slot's byte range unspecified; empty it.
+        blob = pc.fill_null(blob, pa.scalar(b"", blob.type))
+    _, offsets, data = blob.buffers()
+    off = np.frombuffer(offsets, np.int32)[blob.offset : blob.offset + len(blob) + 1]
+    n_bytes = int(off[-1] - off[0])
+    pos = (
+        np.frombuffer(data, np.int64, count=n_bytes // 8, offset=int(off[0]))
+        if n_bytes
+        else np.zeros(0, dtype=np.int64)
+    )
+    return np.repeat(np.arange(len(blob)), np.diff(off) // 8), pos
 
 
 def _doc_lines(
@@ -1593,7 +1627,7 @@ def line_dedup(
        (doc_id << 20 | line_no; line_no bounded at 2^20, asserted);
        drop sets are duplicate-line-scale — sparse on real corpora;
     3. rebuild — the drop keys pack into one blob row per doc that
-       has drops (``_doc_blobs``: duplicate-doc-scale, one task when
+       has drops (``_join_blobs``: duplicate-doc-scale, one task when
        small), the corpus's (id, text) columns meet the blobs in one
        left :func:`engine.joins.lookup` on doc id, and each block
        re-derives its lines locally and rejoins the kept ones. Only
@@ -1610,7 +1644,6 @@ def line_dedup(
     """
     import pyarrow.compute as pc
 
-    from engine import joins
     from engine.shuffle import keyed_partition_map
 
     def digest_stage(b: pa.Table) -> pa.Table:
@@ -1671,14 +1704,8 @@ def line_dedup(
         out_schema=pa.schema([("drop_key", pa.int64())]),
     ).materialize()
 
-    # The broadcast bound is on drop positions (blob bytes), not docs.
-    joined = joins.lookup(
-        ds.select_columns([id_col, text_col]),
-        _doc_blobs(drop_ds, "drop_key", _LINE_NO_BITS, id_col, num_partitions),
-        id_col,
-        how="left",
-        take=["_blob"],
-        max_broadcast=None if drop_ds.count() <= joins.BROADCAST_MAX_KEYS else 0,
+    joined = _join_blobs(
+        ds, drop_ds, "drop_key", _LINE_NO_BITS, id_col, text_col, num_partitions
     )
 
     def rebuild(b: pa.Table) -> pa.Table:
@@ -1998,7 +2025,7 @@ def exact_substring_dedup(
        digest's occurrences or none.
     3. REBUILD (the line_dedup shape): the removal span keys
        (doc_id << 21 | start) pack into one blob row per doc that has
-       spans (``_doc_blobs``), the corpus's (id, text) columns meet the
+       spans (``_join_blobs``), the corpus's (id, text) columns meet the
        blobs in one left :func:`engine.joins.lookup` on doc id, and a
        final map pass marks covered positions with a difference array
        (+1 at start, -1 at min(start+L, n)) and rebuilds kept text
@@ -2083,14 +2110,8 @@ def exact_substring_dedup(
         out_schema=pa.schema([("span_key", pa.int64())]),
     ).materialize()
 
-    # The broadcast bound is on removal spans (blob bytes), not docs.
-    joined = joins.lookup(
-        ds.select_columns([id_col, text_col]),
-        _doc_blobs(drop_ds, "span_key", _WIN_POS_BITS, id_col, num_partitions),
-        id_col,
-        how="left",
-        take=["_blob"],
-        max_broadcast=None if drop_ds.count() <= joins.BROADCAST_MAX_KEYS else 0,
+    joined = _join_blobs(
+        ds, drop_ds, "span_key", _WIN_POS_BITS, id_col, text_col, num_partitions
     )
 
     def rebuild(b: pa.Table) -> pa.Table:

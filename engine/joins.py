@@ -23,7 +23,7 @@ The legs, also used directly:
 
 - ``hash_join``: partitioned hash join for two large sides: add
   ``bucket = hash(key) % B`` to both, range-partition the union on
-  the bucket (one partition per bucket) and run an Arrow-native join
+  the bucket (whole buckets per partition) and run an Arrow-native join
   per partition (int64-exact; pandas merges cast null-filled int
   columns to float64 and corrupt 62-bit ids). Keys are hashable ints/strings;
   hot keys should be salted (``salted_hash_join``). The union of
@@ -45,6 +45,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+from ray.data.dataset import MaterializedDataset
 
 # The one route threshold: distinct build keys at or below it are
 # broadcast (~32 MB of int64). Read at call time, so tests can pin it.
@@ -217,12 +218,14 @@ def hash_join(
 
     Tags each side, buckets rows by ``hash(key) % B``, range-partitions
     the union on the bucket with fixed boundaries (whole buckets per
-    partition, as many partitions as input blocks and at most B; no
-    boundary sampling), and merges each partition with an Arrow-native
-    join. One shuffle total; a partition holds ~1/P of the union (raise
-    B, or the input's block count, until the largest partition fits a
-    worker heap). Every output block carries the declared schema: left
-    columns, then right non-key columns.
+    partition; no boundary sampling), and merges each partition with an
+    Arrow-native join. One shuffle total. There are P = min(B, input
+    blocks) partitions (at least 2), and one merge call holds ~1/P of
+    the union: B alone bounds it only when the two inputs together
+    have at least B blocks, so to fit a worker heap raise both (for
+    example ``repartition`` the larger side). Every output block
+    carries the declared schema: left columns, then right non-key
+    columns.
 
     Width note: the union requires both sides to carry the UNION
     schema, so each side ships all-null fixed-width padding for the
@@ -285,7 +288,7 @@ def hash_join(
     # would shrink the map side's sub-blocks below Ray's 100 KB inline
     # limit, parking them in the driver's heap), at most one per bucket;
     # fixed boundaries, so no sampling pass.
-    n_in = sum(d._plan.initial_num_blocks() or num_buckets for d in (lt, rt))
+    n_in = _input_blocks(left, num_buckets) + _input_blocks(right, num_buckets)
     parts = max(2, min(num_buckets, n_in))  # no boundaries would mean sampling
     both = lt.union(rt, ray.data.from_arrow(pad)).sort(
         "_bucket", boundaries=[j * num_buckets // parts for j in range(1, parts)]
@@ -309,6 +312,19 @@ def hash_join(
         return out.select(l_cols + [c for c in r_cols if c != key])
 
     return both.map_batches(merge, batch_size=None, batch_format="pyarrow")
+
+
+def _input_blocks(ds: Dataset, default: int) -> int:
+    """The block count ``ds`` will produce: public for a materialized
+    Dataset; for a lazy one, the plan's estimate (a private Ray read,
+    so a Ray that renames it yields ``default``, as does an unknown
+    estimate)."""
+    if isinstance(ds, MaterializedDataset):
+        return ds.num_blocks()
+    try:
+        return ds._plan.initial_num_blocks() or default
+    except AttributeError:
+        return default
 
 
 def semi_filter(ds: Dataset, keys: np.ndarray, key: str, anti: bool = False) -> Dataset:

@@ -1004,6 +1004,39 @@ def test_line_dedup_token_window_mode_matches_scalar_oracle():
     assert got[1] == (1, 1, "") and got[3] == (1, 1, "")
 
 
+def test_blob_positions_reads_sliced_chunked_and_null_blobs():
+    """The drop-blob decode reads the binary buffers in place: it must
+    honour an array's slice offset, chunk boundaries and null slots,
+    including a null slot whose (unspecified) byte range is not empty."""
+    from engine.dedupe import _blob_positions
+
+    rows = [[3, 9], None, [], [0], None, [1, 2, 4]]
+    vals = [None if r is None else np.array(r, np.int64).tobytes() for r in rows]
+    a = pa.array(vals, pa.binary())
+    # Same data, but slot 1 is null over 8 real bytes (value 77).
+    data = b"".join(np.array(r or [], np.int64).tobytes() for r in [[3, 9], [77], *rows[2:]])
+    lens = [16, 8, 0, 8, 0, 24]
+    offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
+    valid = np.packbits(np.array([r is not None for r in rows]), bitorder="little")
+    dirty = pa.Array.from_buffers(
+        pa.binary(), len(rows), [pa.py_buffer(valid), pa.py_buffer(offs), pa.py_buffer(data)]
+    )
+
+    def want(rs):
+        row = [i for i, r in enumerate(rs) for _ in (r or [])]
+        return row, [p for r in rs for p in (r or [])]
+
+    for blob, rs in [
+        (a, rows),
+        (dirty, rows),
+        (a.slice(1, 4), rows[1:5]),
+        (pa.chunked_array([a.slice(0, 2), a.slice(2)]), rows),
+        (pa.chunked_array([], pa.binary()), []),
+    ]:
+        row, pos = _blob_positions(blob)
+        assert (row.tolist(), pos.tolist()) == want(rs)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_bigram_lm_scores_match_scalar_oracle():
     """Bigram-LM quality score vs a scalar Counter+log oracle,
